@@ -16,9 +16,15 @@
 //! cargo run --release -p spottune-bench --bin sweep_throughput -- \
 //!     --campaigns 1000 --days 2 --check
 //!
+//! # Same check pinned to one thread (`--threads N` caps the workers
+//! # `run_many` shares cohorts over; default: every core).
+//! cargo run --release -p spottune-bench --bin sweep_throughput -- \
+//!     --campaigns 1000 --days 2 --scenarios 1 --check --threads 1
+//!
 //! # Headline measurement: 100k campaigns, serial extrapolated from a
 //! # 2k-campaign sample (full serial would retrain ~50k estimators),
-//! # appended to the committed baseline.
+//! # appended to the committed baseline together with the one-scenario
+//! # scaling curve (campaigns/s at 1, 2, 4 … nproc threads).
 //! cargo run --release -p spottune-bench --bin sweep_throughput -- \
 //!     --campaigns 100000 --days 2 --serial-sample 2000 \
 //!     --write crates/bench/BENCH_sweep.json
@@ -40,6 +46,9 @@ struct Args {
     serial_sample: usize,
     check: bool,
     soa: bool,
+    /// Worker-thread cap for `run_many`; `None` keeps the runner default
+    /// (`available_parallelism`).
+    threads: Option<usize>,
     write: Option<String>,
 }
 
@@ -51,6 +60,7 @@ fn parse_args() -> Args {
         serial_sample: 0,
         check: false,
         soa: true,
+        threads: None,
         write: None,
     };
     let mut it = std::env::args().skip(1);
@@ -72,6 +82,9 @@ fn parse_args() -> Args {
             }
             "--check" => args.check = true,
             "--no-soa" => args.soa = false,
+            "--threads" => {
+                args.threads = Some(value("--threads").parse().expect("--threads: usize"));
+            }
             "--write" => args.write = Some(value("--write")),
             other => panic!("unknown flag {other} (see the module docs for usage)"),
         }
@@ -86,10 +99,10 @@ const ESTIMATOR_MIX: [&str; 4] = ["logistic", "oracle(0.9)", "logistic", "consta
 const POLICY_MIX: [&str; 4] = ["spottune", "spottune", "hybrid", "migration-aware"];
 const THETA_MIX: [f64; 4] = [0.7, 1.0, 0.7, 0.7];
 
-fn build_requests(args: &Args) -> Vec<CampaignRequest> {
+fn build_requests(campaigns: usize, days: u64, scenarios: u64) -> Vec<CampaignRequest> {
     let base = Workload::benchmark(Algorithm::LoR);
     let workload = Workload::custom(Algorithm::LoR, 15, base.hp_grid()[..2].to_vec());
-    (0..args.campaigns)
+    (0..campaigns)
         .map(|i| CampaignRequest {
             id: i as u64,
             approach: Approach::from_policy_name(POLICY_MIX[i % 4], THETA_MIX[i % 4])
@@ -97,9 +110,51 @@ fn build_requests(args: &Args) -> Vec<CampaignRequest> {
             workload: workload.clone(),
             // `i / 4` decorrelates the scenario from the mod-4 mixes so
             // every estimator kind appears in every scenario.
-            scenario: MarketScenario::from_days(args.days, 42 + (i as u64 / 4) % args.scenarios),
+            scenario: MarketScenario::from_days(days, 42 + (i as u64 / 4) % scenarios),
             seed: 42 + (i as u64 % 16),
             estimator: EstimatorSpec::parse(ESTIMATOR_MIX[i % 4]).expect("mix specs parse"),
+        })
+        .collect()
+}
+
+/// Timed passes per point of the scaling curve; the point is the fastest
+/// (a freshly loaded box can take a second to hand a process its second
+/// core, which would otherwise flatten the first multi-thread point).
+const SCALING_PASSES: usize = 3;
+
+/// The scaling curve: the same mix over **one** scenario (a single group,
+/// so every extra thread is cohort sharing and nothing else), tiers warmed
+/// once, timed at 1, 2, 4 … `nproc` threads (best of [`SCALING_PASSES`]).
+/// Every pass must return the one-thread reports bit for bit. Returns
+/// `(threads, campaigns/s)` pairs.
+fn scaling_curve(args: &Args, nproc: usize) -> Vec<(usize, f64)> {
+    let requests = build_requests(args.campaigns, args.days, 1);
+    let warm = BatchRunner::new().with_soa(args.soa);
+    warm.run_many(&requests[..requests.len().min(64)]);
+    let mut counts: Vec<usize> =
+        std::iter::successors(Some(1usize), |t| Some(t * 2)).take_while(|&t| t < nproc).collect();
+    counts.push(nproc);
+    let mut reference: Option<Vec<HptReport>> = None;
+    counts
+        .into_iter()
+        .map(|threads| {
+            let runner = warm.clone().with_threads(threads);
+            let mut best_secs = f64::INFINITY;
+            for _ in 0..SCALING_PASSES {
+                let t0 = Instant::now();
+                let reports = runner.run_many(&requests);
+                best_secs = best_secs.min(t0.elapsed().as_secs_f64());
+                match &reference {
+                    None => reference = Some(reports),
+                    Some(want) => assert!(
+                        reports == *want,
+                        "{threads} threads diverged from the one-thread reports"
+                    ),
+                }
+            }
+            let per_sec = requests.len() as f64 / best_secs;
+            println!("scaling : {threads:>3} thread(s) {per_sec:>9.1} campaigns/s (1 scenario)");
+            (threads, per_sec)
         })
         .collect()
 }
@@ -107,23 +162,32 @@ fn build_requests(args: &Args) -> Vec<CampaignRequest> {
 fn main() {
     let args = parse_args();
     assert!(args.campaigns > 0 && args.scenarios > 0, "need a non-empty sweep");
-    let requests = build_requests(&args);
+    let requests = build_requests(args.campaigns, args.days, args.scenarios);
     let n = requests.len();
-    println!(
-        "sweep_throughput: {n} campaigns, {} scenario(s) at {} day(s), mix {:?}",
-        args.scenarios, args.days, ESTIMATOR_MIX
-    );
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     // Batched: one runner, fresh tiers, full sweep. SoA cohort staging
     // (cross-campaign lane kernel, probe-cached estimators) is on unless
-    // `--no-soa` selects the scalar A/B reference.
-    let runner = BatchRunner::new().with_soa(args.soa);
+    // `--no-soa` selects the scalar A/B reference; `--threads` caps the
+    // workers cohorts are shared over (wall-clock only, never bits).
+    let mut runner = BatchRunner::new().with_soa(args.soa);
+    if let Some(threads) = args.threads {
+        runner = runner.with_threads(threads);
+    }
+    println!(
+        "sweep_throughput: {n} campaigns, {} scenario(s) at {} day(s), mix {:?}, \
+         {} thread(s) on {nproc} core(s)",
+        args.scenarios,
+        args.days,
+        ESTIMATOR_MIX,
+        runner.threads()
+    );
     let t0 = Instant::now();
     let batched = runner.run_many(&requests);
     let batched_secs = t0.elapsed().as_secs_f64();
     let stats = runner.stats();
     println!(
-        "batched : {batched_secs:>8.2}s total, {:>9.1} campaigns/s ({} groups, {} trainings, \
+        "batched : {batched_secs:>8.2}s total, {:>9.1} campaigns/s ({} sessions, {} trainings, \
          {} spine queries, soa={}, {} kernel passes, lane occupancy {}, probes {}/{})",
         n as f64 / batched_secs,
         stats.groups,
@@ -203,6 +267,12 @@ fn main() {
     }
 
     if let Some(path) = &args.write {
+        let scaling: Vec<String> = scaling_curve(&args, nproc)
+            .into_iter()
+            .map(|(threads, per_sec)| {
+                format!("{{\"threads\":{threads},\"campaigns_per_sec\":{per_sec:.1}}}")
+            })
+            .collect();
         // One JSON line per run, appended (the BENCH_*.json convention;
         // serde is stubbed workspace-wide, so format by hand).
         let line = format!(
@@ -213,7 +283,7 @@ fn main() {
                 "\"batched_secs\":{:.2},\"speedup\":{:.2},\"batched_campaigns_per_sec\":{:.1},",
                 "\"serial_campaigns_per_sec\":{:.1},\"groups\":{},\"trainings\":{},",
                 "\"spine_queries\":{},\"soa\":{},\"lane_width\":{},",
-                "\"kernel_invocations\":{}}}"
+                "\"kernel_invocations\":{},\"nproc\":{},\"threads\":{},\"scaling\":[{}]}}"
             ),
             n,
             args.scenarios,
@@ -230,6 +300,9 @@ fn main() {
             args.soa,
             spottune_earlycurve::LANE_WIDTH,
             stats.kernel_invocations,
+            nproc,
+            runner.threads(),
+            scaling.join(","),
         );
         let mut file = std::fs::OpenOptions::new()
             .create(true)

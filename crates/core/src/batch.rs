@@ -9,8 +9,16 @@
 //! grouped by scenario, each group resolves its pool, [`PoolSpine`] and
 //! predictors exactly once through shared tiers, and a [`GroupSession`]
 //! threads one [`EngineScratch`] through the group so the hot loop is
-//! allocation-free. Groups fan out across threads; within a group,
-//! campaigns run in submission order.
+//! allocation-free.
+//!
+//! Work is shared at *cohort* granularity. A group's requests are cut into
+//! [`COHORT_WIDTH`] cohorts in submission order; worker threads first claim
+//! whole unstarted groups (so cold builds of distinct scenarios land on
+//! distinct threads) and, once every group has an owner, join the groups
+//! still running and claim their remaining cohorts, each worker through a
+//! [`GroupSession`] of its own. A sweep over a single scenario therefore
+//! uses every core. Which thread runs a cohort, and in what order cohorts
+//! finish, is unspecified; what a cohort *contains* never depends on it.
 //!
 //! The batched path is *bit-identical* to the serial reference: the spine
 //! mirrors [`spottune_market::PriceTrace::first_exceed`] exactly, predictor
@@ -26,7 +34,6 @@ use crate::policy::PolicyMode;
 use crate::provision::OracleEstimator;
 use crate::report::HptReport;
 use crate::soa::{JobLanes, COHORT_WIDTH};
-use rayon::prelude::*;
 use spottune_cloud::FaultPlan;
 use spottune_market::{
     CacheStats, ConstantEstimator, EstimatorSpec, MarketPool, MarketScenario, PoolCache,
@@ -35,13 +42,17 @@ use spottune_market::{
 use spottune_mlsim::{CurveCache, Workload};
 use spottune_revpred::{MarketPredictorSet, PredictorCache, PredictorKind, ProbeCachedPredictors};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Counter snapshot of one [`BatchRunner`]'s lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
-    /// Scenario groups opened (one [`GroupSession`] each).
+    /// [`GroupSession`]s opened. [`BatchRunner::run_many`] opens one per
+    /// (worker thread, scenario group) pair in which the worker ran at least
+    /// one cohort: exactly one per group on a single thread, at most
+    /// `threads` per group otherwise. Direct [`BatchRunner::session`] calls
+    /// (the server's worker loop) count one each.
     pub groups: u64,
     /// Campaigns executed through the batched path.
     pub campaigns: u64,
@@ -114,7 +125,17 @@ pub struct BatchRunner {
     /// `with_soa(false)` is the A/B reference (the historical one-campaign-
     /// at-a-time group loop). Both produce bit-identical reports.
     soa: bool,
+    /// Worker threads one `run_many` call may use (at least 1).
+    threads: usize,
     counters: Arc<BatchCounters>,
+}
+
+/// `std::thread::available_parallelism`, read once per process (the std
+/// call re-reads cgroup limits every time, and sweeps build runners per
+/// batch).
+fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 impl Default for BatchRunner {
@@ -126,6 +147,7 @@ impl Default for BatchRunner {
             predictors: PredictorCache::default(),
             fault_plan: None,
             soa: true,
+            threads: default_threads(),
             counters: Arc::default(),
         }
     }
@@ -146,6 +168,21 @@ impl BatchRunner {
     /// Whether the SoA cohort path is active.
     pub fn soa(&self) -> bool {
         self.soa
+    }
+
+    /// Caps the worker threads of one [`BatchRunner::run_many`] call
+    /// (default: `available_parallelism`; `0` is read as 1). Thread count
+    /// may change wall-clock, never bits: cohort boundaries are fixed by
+    /// the request slice alone, so every count yields the same reports.
+    /// `with_threads(1)` runs the whole sweep on the calling thread.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Worker threads one [`BatchRunner::run_many`] call may use.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Builder-style tier override: share a server's existing caches.
@@ -190,42 +227,97 @@ impl BatchRunner {
         }
     }
 
-    /// Runs every request, batched: grouped by scenario, groups fanned out
-    /// across threads, reports returned in *request order* (index `i` of
-    /// the result is the report of `requests[i]`). With the SoA path on
-    /// (the default), each group's requests are staged through
-    /// [`GroupSession::run_cohort`] in [`COHORT_WIDTH`] chunks; either way
-    /// the report vector is bit-identical.
+    /// Runs every request, batched: grouped by scenario, each group cut
+    /// into [`COHORT_WIDTH`] cohorts in submission order, cohorts shared
+    /// over up to [`BatchRunner::threads`] workers (see the module docs),
+    /// reports returned in *request order* (index `i` of the result is the
+    /// report of `requests[i]`). With the SoA path on (the default) a
+    /// cohort runs through [`GroupSession::run_cohort`], otherwise through
+    /// [`GroupSession::run_one`] per request; either way, and for every
+    /// thread count, the report vector is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// A campaign that panics (a request failing engine validation)
+    /// resurfaces here with its original payload once the other workers
+    /// have run out of cohorts.
     pub fn run_many(&self, requests: &[CampaignRequest]) -> Vec<HptReport> {
-        let mut groups: BTreeMap<MarketScenario, Vec<usize>> = BTreeMap::new();
+        let mut by_scenario: BTreeMap<MarketScenario, Vec<usize>> = BTreeMap::new();
         for (i, req) in requests.iter().enumerate() {
-            groups.entry(req.scenario).or_default().push(i);
+            by_scenario.entry(req.scenario).or_default().push(i);
         }
-        let groups: Vec<(MarketScenario, Vec<usize>)> = groups.into_iter().collect();
-        let per_group: Vec<Vec<(usize, HptReport)>> = groups
-            .into_par_iter()
-            .map(|(scenario, idxs)| {
-                let mut session = self.session(scenario);
-                if self.soa {
-                    let mut out = Vec::with_capacity(idxs.len());
-                    for chunk in idxs.chunks(COHORT_WIDTH) {
-                        let cohort: Vec<&CampaignRequest> =
-                            chunk.iter().map(|&i| &requests[i]).collect();
-                        let reports = session.run_cohort(&cohort);
-                        out.extend(chunk.iter().copied().zip(reports));
-                    }
-                    out
-                } else {
-                    idxs.into_iter().map(|i| (i, session.run_one(&requests[i]))).collect()
-                }
-            })
+        let groups: Vec<GroupWork> = by_scenario
+            .into_iter()
+            .map(|(scenario, idxs)| GroupWork { scenario, idxs, next_cohort: AtomicUsize::new(0) })
             .collect();
+        let cohorts: usize = groups.iter().map(|g| g.idxs.len().div_ceil(COHORT_WIDTH)).sum();
+        let workers = self.threads.min(cohorts).max(1);
+        let next_group = AtomicUsize::new(0);
+        let work = || self.work(requests, &groups, &next_group);
+        let per_worker: Vec<Vec<(usize, HptReport)>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut per_worker = vec![work()];
+            for handle in spawned {
+                match handle.join() {
+                    Ok(reports) => per_worker.push(reports),
+                    // The scope joins the remaining workers, then lets
+                    // this unwind through to the caller.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            per_worker
+        });
         let mut out: Vec<Option<HptReport>> = Vec::new();
         out.resize_with(requests.len(), || None);
-        for (i, report) in per_group.into_iter().flatten() {
+        for (i, report) in per_worker.into_iter().flatten() {
             out[i] = Some(report);
         }
         out.into_iter().map(|r| r.expect("every request produces a report")).collect()
+    }
+
+    /// One worker of a [`BatchRunner::run_many`] call. Whole unstarted
+    /// groups first — distinct scenarios' cold pool, spine and predictor
+    /// builds land on distinct threads — then every group again, to help
+    /// with whatever cohorts its owner has not claimed yet.
+    fn work(
+        &self,
+        requests: &[CampaignRequest],
+        groups: &[GroupWork],
+        next_group: &AtomicUsize,
+    ) -> Vec<(usize, HptReport)> {
+        let mut out = Vec::new();
+        while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
+            self.drain(group, requests, &mut out);
+        }
+        for group in groups {
+            self.drain(group, requests, &mut out);
+        }
+        out
+    }
+
+    /// Claims and runs cohorts of `group` until none is left, through a
+    /// session opened on the first successful claim (a worker that arrives
+    /// after the last claim opens nothing).
+    fn drain(
+        &self,
+        group: &GroupWork,
+        requests: &[CampaignRequest],
+        out: &mut Vec<(usize, HptReport)>,
+    ) {
+        let mut session = None;
+        while let Some(chunk) = group
+            .idxs
+            .chunks(COHORT_WIDTH)
+            .nth(group.next_cohort.fetch_add(1, Ordering::Relaxed))
+        {
+            let session = session.get_or_insert_with(|| self.session(group.scenario));
+            if self.soa {
+                let cohort: Vec<&CampaignRequest> = chunk.iter().map(|&i| &requests[i]).collect();
+                out.extend(chunk.iter().copied().zip(session.run_cohort(&cohort)));
+            } else {
+                out.extend(chunk.iter().map(|&i| (i, session.run_one(&requests[i]))));
+            }
+        }
     }
 
     /// Counter snapshot across every session this runner (and its clones)
@@ -245,6 +337,19 @@ impl BatchRunner {
             probe_misses: self.counters.probe_misses.load(Ordering::Relaxed),
         }
     }
+}
+
+/// One scenario group of a [`BatchRunner::run_many`] call: its request
+/// indices in submission order and the cursor workers claim
+/// `idxs.chunks(COHORT_WIDTH)` positions from. The indices are shared, never
+/// copied per worker. Like the group cursor, `next_cohort` only hands out
+/// positions (hence `Relaxed`): it publishes no data — everything reached
+/// through a position is immutable for the whole call, and reports travel
+/// back through the workers' `join`.
+struct GroupWork {
+    scenario: MarketScenario,
+    idxs: Vec<usize>,
+    next_cohort: AtomicUsize,
 }
 
 impl Campaign {

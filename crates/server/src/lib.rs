@@ -544,8 +544,17 @@ impl CampaignServer {
             // and enqueue whole chunks. A worker resolves each chunk's
             // pool/spine/predictors once and reuses one engine scratch
             // across it — bit-identical to the serial path below (locked
-            // by the core batch_equivalence suite).
-            let chunk = requests.len().div_ceil(self.workers.len().max(1) * 4).max(1);
+            // by the core batch_equivalence suite). On the SoA path a
+            // chunk of more than one cohort is rounded up to whole
+            // cohorts, so only a group's last chunk can end ragged — the
+            // same cohorts, lane slots and occupancy as
+            // `BatchRunner::run_many` over the same requests. Sweeps too
+            // small for that keep their sub-cohort chunks: there, keeping
+            // every worker busy is worth more than full lanes.
+            let mut chunk = requests.len().div_ceil(self.workers.len().max(1) * 4).max(1);
+            if self.runner.soa() && chunk > spottune_core::COHORT_WIDTH {
+                chunk = chunk.next_multiple_of(spottune_core::COHORT_WIDTH);
+            }
             let mut groups: BTreeMap<MarketScenario, Vec<CampaignRequest>> = BTreeMap::new();
             for request in requests {
                 groups.entry(request.scenario).or_default().push(request);

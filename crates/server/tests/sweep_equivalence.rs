@@ -126,3 +126,35 @@ fn sweep_1000_is_bit_identical_to_serial_with_memo_hits() {
         );
     }
 }
+
+/// Server sweep chunks are whole cohorts: a 1 000-campaign one-scenario
+/// sweep stages exactly the cohorts `BatchRunner::run_many` stages over
+/// the same requests — same kernel passes, lane slots and lane jobs (an
+/// unaligned chunk, e.g. 125 requests on 2 workers, would end every work
+/// item in a ragged cohort and pad extra lane slots) — and agrees with it
+/// bit for bit.
+#[test]
+fn one_scenario_sweep_stages_the_same_cohorts_as_run_many() {
+    let scenario = MarketScenario::from_days(1, 42);
+    let requests: Vec<CampaignRequest> =
+        sweep_requests().into_iter().map(|r| CampaignRequest { scenario, ..r }).collect();
+    assert_eq!(requests.len(), 1000);
+
+    let runner = BatchRunner::new();
+    let reports = runner.run_many(&requests);
+    let want = runner.stats();
+    assert!(want.lane_jobs > 0, "the sweep must cross the lane kernel");
+
+    for workers in [2, 3] {
+        let server = CampaignServer::start(ServerConfig::with_workers(workers));
+        let responses = server.run_sweep(requests.clone());
+        let stats = server.stats();
+        server.shutdown();
+        assert_eq!(stats.lane_slots, want.lane_slots, "{workers} workers");
+        assert_eq!(stats.lane_jobs, want.lane_jobs, "{workers} workers");
+        assert_eq!(stats.kernel_invocations, want.kernel_invocations, "{workers} workers");
+        for (response, report) in responses.iter().zip(&reports) {
+            assert_eq!(response.report, *report, "request {}", response.id);
+        }
+    }
+}
