@@ -26,15 +26,11 @@
 //! default) sizes the pool to the machine; `--curve-capacity N` bounds the
 //! shared curve tier to `N` resident curves (LRU, `0` = unbounded) for
 //! many-seed sweeps, and `--predictor-capacity N` bounds the trained-
-//! predictor tier the same way for scenario-heavy learned sweeps.
-//! `--batch` (the default) routes the sweep through the server's batched
-//! path — requests grouped by market scenario, pool/spine/predictors
-//! resolved once per group, engine scratch reused across each chunk —
-//! while `--no-batch` falls back to one request per work item for A/B
-//! comparison; both produce bit-identical reports. Within the batched
-//! path, `--no-soa` disables the SoA cohort staging (the cross-campaign
-//! lane kernel plus probe-cached estimators) so the scalar per-campaign
-//! loop can be A/B'd the same way — again bit-identical by construction.
+//! predictor tier the same way for scenario-heavy learned sweeps. The
+//! sweep always runs the server's one sweep path — requests grouped by
+//! market scenario, pool/spine/predictors resolved once per chunk, SoA
+//! cohorts through the cross-campaign lane kernel — and the summary's
+//! `spine tier` and `lane kernel` lines show it at work.
 
 use spottune_bench::TRACE_DAYS;
 use spottune_core::prelude::*;
@@ -54,8 +50,6 @@ struct Args {
     days: u64,
     curve_capacity: usize,
     predictor_capacity: usize,
-    batch: bool,
-    soa: bool,
     baselines: bool,
     quiet: bool,
 }
@@ -72,8 +66,6 @@ fn parse_args() -> Args {
         days: TRACE_DAYS,
         curve_capacity: 0,
         predictor_capacity: 0,
-        batch: true,
-        soa: true,
         baselines: false,
         quiet: false,
     };
@@ -132,9 +124,6 @@ fn parse_args() -> Args {
                 args.predictor_capacity =
                     value("--predictor-capacity").parse().expect("--predictor-capacity: usize");
             }
-            "--batch" => args.batch = true,
-            "--no-batch" => args.batch = false,
-            "--no-soa" => args.soa = false,
             "--baselines" => args.baselines = true,
             "--quiet" => args.quiet = true,
             other => panic!("unknown flag {other} (see the module docs for usage)"),
@@ -208,18 +197,11 @@ fn main() {
     let server = CampaignServer::start(
         ServerConfig::with_workers(args.workers)
             .with_curve_capacity(args.curve_capacity)
-            .with_predictor_capacity(args.predictor_capacity)
-            .with_batch(args.batch)
-            .with_soa(args.soa),
+            .with_predictor_capacity(args.predictor_capacity),
     );
     let workers = server.stats().workers;
-    let mode = match (args.batch, args.soa) {
-        (true, true) => "batched+soa",
-        (true, false) => "batched",
-        (false, _) => "serial",
-    };
     println!(
-        "submitting {total} campaigns (estimator {}, {mode}) to {workers} workers …",
+        "submitting {total} campaigns (estimator {}) to {workers} workers …",
         args.estimator
     );
     let t0 = Instant::now();
@@ -268,21 +250,17 @@ fn main() {
         100.0 * stats.predictor_cache.hit_rate(),
         stats.predictor_cache.misses,
     );
-    if args.batch {
-        println!(
-            "spine tier   : {} resident, {} groups, {} spine queries",
-            stats.resident_spines, stats.batched_groups, stats.spine_queries,
-        );
-    }
-    if args.batch && args.soa {
-        let occupancy = if stats.lane_slots > 0 {
-            100.0 * stats.lane_jobs as f64 / stats.lane_slots as f64
-        } else {
-            0.0
-        };
-        println!(
-            "lane kernel  : {} passes, {} jobs over {} slots ({occupancy:.1}% occupancy)",
-            stats.kernel_invocations, stats.lane_jobs, stats.lane_slots,
-        );
-    }
+    println!(
+        "spine tier   : {} resident, {} groups, {} spine queries",
+        stats.resident_spines, stats.batched_groups, stats.spine_queries,
+    );
+    let occupancy = if stats.lane_slots > 0 {
+        100.0 * stats.lane_jobs as f64 / stats.lane_slots as f64
+    } else {
+        0.0
+    };
+    println!(
+        "lane kernel  : {} passes, {} jobs over {} slots ({occupancy:.1}% occupancy)",
+        stats.kernel_invocations, stats.lane_jobs, stats.lane_slots,
+    );
 }

@@ -45,7 +45,6 @@ struct Args {
     scenarios: u64,
     serial_sample: usize,
     check: bool,
-    soa: bool,
     /// Worker-thread cap for `run_many`; `None` keeps the runner default
     /// (`available_parallelism`).
     threads: Option<usize>,
@@ -59,7 +58,6 @@ fn parse_args() -> Args {
         scenarios: 2,
         serial_sample: 0,
         check: false,
-        soa: true,
         threads: None,
         write: None,
     };
@@ -81,7 +79,6 @@ fn parse_args() -> Args {
                     value("--serial-sample").parse().expect("--serial-sample: usize");
             }
             "--check" => args.check = true,
-            "--no-soa" => args.soa = false,
             "--threads" => {
                 args.threads = Some(value("--threads").parse().expect("--threads: usize"));
             }
@@ -129,7 +126,7 @@ const SCALING_PASSES: usize = 3;
 /// `(threads, campaigns/s)` pairs.
 fn scaling_curve(args: &Args, nproc: usize) -> Vec<(usize, f64)> {
     let requests = build_requests(args.campaigns, args.days, 1);
-    let warm = BatchRunner::new().with_soa(args.soa);
+    let warm = BatchRunner::new();
     warm.run_many(&requests[..requests.len().min(64)]);
     let mut counts: Vec<usize> =
         std::iter::successors(Some(1usize), |t| Some(t * 2)).take_while(|&t| t < nproc).collect();
@@ -166,11 +163,11 @@ fn main() {
     let n = requests.len();
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
 
-    // Batched: one runner, fresh tiers, full sweep. SoA cohort staging
-    // (cross-campaign lane kernel, probe-cached estimators) is on unless
-    // `--no-soa` selects the scalar A/B reference; `--threads` caps the
-    // workers cohorts are shared over (wall-clock only, never bits).
-    let mut runner = BatchRunner::new().with_soa(args.soa);
+    // Batched: one runner, fresh tiers, full sweep through SoA cohorts
+    // (cross-campaign lane kernel, probe-cached estimators); `--threads`
+    // caps the workers cohorts are shared over (wall-clock only, never
+    // bits).
+    let mut runner = BatchRunner::new();
     if let Some(threads) = args.threads {
         runner = runner.with_threads(threads);
     }
@@ -188,12 +185,11 @@ fn main() {
     let stats = runner.stats();
     println!(
         "batched : {batched_secs:>8.2}s total, {:>9.1} campaigns/s ({} sessions, {} trainings, \
-         {} spine queries, soa={}, {} kernel passes, lane occupancy {}, probes {}/{})",
+         {} spine queries, {} kernel passes, lane occupancy {}, probes {}/{})",
         n as f64 / batched_secs,
         stats.groups,
         stats.predictor_cache.misses,
         stats.spine_queries,
-        args.soa,
         stats.kernel_invocations,
         stats
             .lane_occupancy()
@@ -255,14 +251,7 @@ fn main() {
         assert_eq!(stats.spine_cache.misses, args.scenarios, "{stats:?}");
         assert_eq!(stats.predictor_cache.misses, args.scenarios, "{stats:?}");
         assert_eq!(stats.campaigns as usize, n);
-        if args.soa {
-            assert!(
-                stats.kernel_invocations > 0,
-                "SoA sweep never invoked the lane kernel: {stats:?}"
-            );
-        } else {
-            assert_eq!(stats.kernel_invocations, 0, "--no-soa must skip the kernel");
-        }
+        assert!(stats.kernel_invocations > 0, "sweep never invoked the lane kernel: {stats:?}");
         println!("check ok: batched ≡ serial, spine queries {}", stats.spine_queries);
     }
 
@@ -282,7 +271,7 @@ fn main() {
                 "\"constant(0.2)\"],\"serial_secs\":{:.2},\"serial_sample\":{},",
                 "\"batched_secs\":{:.2},\"speedup\":{:.2},\"batched_campaigns_per_sec\":{:.1},",
                 "\"serial_campaigns_per_sec\":{:.1},\"groups\":{},\"trainings\":{},",
-                "\"spine_queries\":{},\"soa\":{},\"lane_width\":{},",
+                "\"spine_queries\":{},\"lane_width\":{},",
                 "\"kernel_invocations\":{},\"nproc\":{},\"threads\":{},\"scaling\":[{}]}}"
             ),
             n,
@@ -297,7 +286,6 @@ fn main() {
             stats.groups,
             stats.predictor_cache.misses,
             stats.spine_queries,
-            args.soa,
             spottune_earlycurve::LANE_WIDTH,
             stats.kernel_invocations,
             nproc,

@@ -33,17 +33,6 @@ pub fn standard_scenario(seed: u64) -> MarketScenario {
     MarketScenario::from_days(TRACE_DAYS, seed)
 }
 
-/// Runs one approach on one workload with the default (`oracle(0.9)`)
-/// revocation estimator.
-pub fn run_approach(
-    approach: Approach,
-    workload: &Workload,
-    pool: &MarketPool,
-    seed: u64,
-) -> HptReport {
-    Campaign::new(approach, workload.clone(), seed).run(pool)
-}
-
 /// [`run_campaigns_with_estimator`] with the default `oracle(0.9)` spec —
 /// the figure binaries' thin-client path.
 pub fn run_campaigns(

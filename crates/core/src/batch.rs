@@ -8,8 +8,16 @@
 //! state. [`BatchRunner::run_many`] amortizes all of it: requests are
 //! grouped by scenario, each group resolves its pool, [`PoolSpine`] and
 //! predictors exactly once through shared tiers, and a [`GroupSession`]
-//! threads one [`EngineScratch`] through the group so the hot loop is
-//! allocation-free.
+//! reuses one [`EngineScratch`] per cohort slot across the group so the hot
+//! loop is allocation-free.
+//!
+//! There is one way a sweep executes: [`GroupSession::run_cohort`], which
+//! stages up to [`COHORT_WIDTH`] campaigns through the SoA lanes
+//! ([`crate::soa`]) and one cross-campaign lane-kernel pass, with learned
+//! estimators behind the probe memo; within a session a lone campaign is
+//! a cohort of one. The scalar [`Engine::run`] behind
+//! [`CampaignRequest::run_serial`] is the reference the suites compare
+//! against, not an alternative sweep path.
 //!
 //! Work is shared at *cohort* granularity. A group's requests are cut into
 //! [`COHORT_WIDTH`] cohorts in submission order; worker threads first claim
@@ -40,7 +48,7 @@ use spottune_market::{
     PoolSpine, RevocationEstimator, SpineCache,
 };
 use spottune_mlsim::{CurveCache, Workload};
-use spottune_revpred::{MarketPredictorSet, PredictorCache, PredictorKind, ProbeCachedPredictors};
+use spottune_revpred::{PredictorCache, PredictorKind, ProbeCachedPredictors};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -120,11 +128,6 @@ pub struct BatchRunner {
     /// serial reference for fault-plan equivalence builds its engines with
     /// the same plan).
     fault_plan: Option<FaultPlan>,
-    /// SoA hot path: cohort-staged campaigns, cross-campaign lane
-    /// prediction, probe-cached learned estimators. On by default;
-    /// `with_soa(false)` is the A/B reference (the historical one-campaign-
-    /// at-a-time group loop). Both produce bit-identical reports.
-    soa: bool,
     /// Worker threads one `run_many` call may use (at least 1).
     threads: usize,
     counters: Arc<BatchCounters>,
@@ -146,7 +149,6 @@ impl Default for BatchRunner {
             curves: CurveCache::default(),
             predictors: PredictorCache::default(),
             fault_plan: None,
-            soa: true,
             threads: default_threads(),
             counters: Arc::default(),
         }
@@ -157,17 +159,6 @@ impl BatchRunner {
     /// Creates a runner with fresh, unbounded tiers.
     pub fn new() -> Self {
         BatchRunner::default()
-    }
-
-    /// Toggles the SoA cohort path (default on).
-    pub fn with_soa(mut self, soa: bool) -> Self {
-        self.soa = soa;
-        self
-    }
-
-    /// Whether the SoA cohort path is active.
-    pub fn soa(&self) -> bool {
-        self.soa
     }
 
     /// Caps the worker threads of one [`BatchRunner::run_many`] call
@@ -208,7 +199,7 @@ impl BatchRunner {
 
     /// Opens a session over one scenario: pool and spine resolved once,
     /// scratch and memo tables empty. The server's worker loop drives this
-    /// directly so a group streams responses as campaigns finish.
+    /// directly so a group streams responses as cohorts finish.
     pub fn session(&self, scenario: MarketScenario) -> GroupSession<'_> {
         let pool = self.pools.get(scenario);
         let spine = self.spines.get(scenario, &pool);
@@ -218,7 +209,6 @@ impl BatchRunner {
             scenario,
             pool,
             spine,
-            scratch: EngineScratch::new(),
             estimators: Vec::new(),
             spe_memos: Vec::new(),
             truth_memos: BTreeMap::new(),
@@ -231,10 +221,9 @@ impl BatchRunner {
     /// into [`COHORT_WIDTH`] cohorts in submission order, cohorts shared
     /// over up to [`BatchRunner::threads`] workers (see the module docs),
     /// reports returned in *request order* (index `i` of the result is the
-    /// report of `requests[i]`). With the SoA path on (the default) a
-    /// cohort runs through [`GroupSession::run_cohort`], otherwise through
-    /// [`GroupSession::run_one`] per request; either way, and for every
-    /// thread count, the report vector is bit-identical.
+    /// report of `requests[i]`). Every cohort runs through
+    /// [`GroupSession::run_cohort`]; for every thread count the report
+    /// vector is bit-identical.
     ///
     /// # Panics
     ///
@@ -311,12 +300,8 @@ impl BatchRunner {
             .nth(group.next_cohort.fetch_add(1, Ordering::Relaxed))
         {
             let session = session.get_or_insert_with(|| self.session(group.scenario));
-            if self.soa {
-                let cohort: Vec<&CampaignRequest> = chunk.iter().map(|&i| &requests[i]).collect();
-                out.extend(chunk.iter().copied().zip(session.run_cohort(&cohort)));
-            } else {
-                out.extend(chunk.iter().map(|&i| (i, session.run_one(&requests[i]))));
-            }
+            let cohort: Vec<&CampaignRequest> = chunk.iter().map(|&i| &requests[i]).collect();
+            out.extend(chunk.iter().copied().zip(session.run_cohort(&cohort)));
         }
     }
 
@@ -367,10 +352,9 @@ impl Campaign {
 enum GroupEstimator {
     Oracle(OracleEstimator),
     Constant(ConstantEstimator),
-    Learned(Arc<MarketPredictorSet>),
     /// Learned predictors behind the `(market, t)`-keyed probe-context
-    /// memo — the SoA path's estimator (bit-identical probabilities, one
-    /// sample assembly per distinct probe site instead of one per probe).
+    /// memo (bit-identical probabilities, one sample assembly per distinct
+    /// probe site instead of one per probe).
     Probed(ProbeCachedPredictors),
 }
 
@@ -379,7 +363,6 @@ impl GroupEstimator {
         match self {
             GroupEstimator::Oracle(e) => e,
             GroupEstimator::Constant(e) => e,
-            GroupEstimator::Learned(e) => e.as_ref(),
             GroupEstimator::Probed(e) => e,
         }
     }
@@ -387,17 +370,16 @@ impl GroupEstimator {
 
 /// One scenario group's execution state: the resolved pool and spine plus
 /// the memo tables ([`EstimatorSpec`] → built estimator, [`Workload`] →
-/// SPE table) and the reusable [`EngineScratch`].
+/// SPE table) and the reusable per-slot [`EngineScratch`]es.
 ///
-/// Campaigns submitted through [`GroupSession::run_one`] are bit-identical
-/// to [`CampaignRequest::run_serial`] over the session's scenario — the
-/// memos only change what is recomputed, never an answer.
+/// Campaigns submitted through [`GroupSession::run_cohort`] are
+/// bit-identical to [`CampaignRequest::run_serial`] over the session's
+/// scenario — the memos only change what is recomputed, never an answer.
 pub struct GroupSession<'a> {
     runner: &'a BatchRunner,
     scenario: MarketScenario,
     pool: MarketPool,
     spine: Arc<PoolSpine>,
-    scratch: EngineScratch,
     /// Spec-keyed estimator memo; linear probe (a sweep uses a handful of
     /// specs, and `EstimatorSpec` is a tiny `Copy` enum).
     estimators: Vec<(EstimatorSpec, GroupEstimator)>,
@@ -433,38 +415,21 @@ impl Drop for GroupSession<'_> {
 }
 
 impl GroupSession<'_> {
-    /// Runs one campaign of this session's scenario. `req.scenario` must
-    /// equal the scenario the session was opened for (debug-asserted; the
-    /// pool is resolved once at session open).
-    pub fn run_one(&mut self, req: &CampaignRequest) -> HptReport {
-        debug_assert_eq!(
-            req.scenario, self.scenario,
-            "request submitted to a session of a different scenario"
-        );
-        self.runner.counters.campaigns.fetch_add(1, Ordering::Relaxed);
-        let est_idx = self.estimator_index(req.estimator);
-        let spe_idx = self.spe_index(&req.workload);
-        let estimator = self.estimators[est_idx].1.as_dyn();
-        let cfg = req.approach.config(req.seed);
-        let mut policy = req.approach.build_policy(estimator, &cfg);
-        let mut engine = Engine::new(cfg, req.workload.clone(), self.pool.clone())
-            .with_curve_cache(self.runner.curves.clone())
-            .with_spine(Arc::clone(&self.spine))
-            .with_spe_means(Arc::clone(&self.spe_memos[spe_idx].1));
-        if let Some(plan) = &self.runner.fault_plan {
-            engine = engine.with_fault_plan(plan.clone());
-        }
-        engine.run_with_scratch(policy.as_mut(), &mut self.scratch)
-    }
-
     /// Runs a cohort of campaigns of this session's scenario through the
     /// SoA hot path: phase 1 of every transient campaign first, then one
     /// cross-campaign lane-kernel pass over all of their final-metric
     /// extrapolations, then each campaign's selection/phase-2/report.
     /// Dedicated-mode campaigns (no prediction stage) run scalar in place.
     /// Reports are returned in cohort order and are bit-identical to
-    /// [`GroupSession::run_one`] per request — the barrier reorders work
-    /// only *between* independent campaigns.
+    /// [`CampaignRequest::run_serial`] per request — the barrier reorders
+    /// work only *between* independent campaigns.
+    ///
+    /// # Panics
+    ///
+    /// A request failing engine validation panics the whole cohort before
+    /// any report is returned or counted. The session stays usable: every
+    /// scratch slot is re-prepared by the next cohort, so a caller that
+    /// catches the unwind can re-run the survivors as cohorts of one.
     pub fn run_cohort(&mut self, reqs: &[&CampaignRequest]) -> Vec<HptReport> {
         // Resolve the memo indices up front (needs `&mut self`; the rest
         // of the cohort borrows session fields disjointly).
@@ -481,7 +446,6 @@ impl GroupSession<'_> {
                 (est_idx, spe_idx, truth)
             })
             .collect();
-        self.runner.counters.campaigns.fetch_add(reqs.len() as u64, Ordering::Relaxed);
         if self.lane_scratch.len() < reqs.len() {
             self.lane_scratch.resize_with(reqs.len(), EngineScratch::new);
         }
@@ -554,6 +518,7 @@ impl GroupSession<'_> {
         runner.counters.kernel_invocations.fetch_add(invocations, Ordering::Relaxed);
         runner.counters.lane_slots.fetch_add(slots, Ordering::Relaxed);
         runner.counters.lane_jobs.fetch_add(jobs, Ordering::Relaxed);
+        runner.counters.campaigns.fetch_add(reports.len() as u64, Ordering::Relaxed);
         reports.into_iter().map(|r| r.expect("every cohort campaign reports")).collect()
     }
 
@@ -569,14 +534,9 @@ impl GroupSession<'_> {
             return i;
         }
         let built = match PredictorKind::from_spec(&spec) {
-            Some(kind) => {
-                let set = self.runner.predictors.get(kind, self.scenario, &self.pool);
-                if self.runner.soa {
-                    GroupEstimator::Probed(ProbeCachedPredictors::new(set))
-                } else {
-                    GroupEstimator::Learned(set)
-                }
-            }
+            Some(kind) => GroupEstimator::Probed(ProbeCachedPredictors::new(
+                self.runner.predictors.get(kind, self.scenario, &self.pool),
+            )),
             None => match spec {
                 EstimatorSpec::Oracle { confidence } => GroupEstimator::Oracle(
                     OracleEstimator::new(self.pool.clone(), confidence)
@@ -686,10 +646,30 @@ mod tests {
                 estimator: spec,
                 ..request(i as u64, Approach::SpotTune { theta: 0.7 }, scenario, 9)
             };
-            session.run_one(&req);
+            session.run_cohort(&[&req]);
         }
         assert_eq!(session.estimators.len(), 2, "equal specs share one estimator");
         assert_eq!(session.spe_memos.len(), 1, "equal workloads share one SPE table");
+    }
+
+    /// A lone campaign is a cohort of one, transient or dedicated, on one
+    /// reused session.
+    #[test]
+    fn cohort_of_one_matches_serial_for_every_registered_policy() {
+        let scenario = MarketScenario::from_days(1, 7);
+        let pool = scenario.build();
+        let curve_cache = CurveCache::new();
+        let runner = BatchRunner::new();
+        let mut session = runner.session(scenario);
+        for (i, name) in Approach::registered_policies().into_iter().enumerate() {
+            let approach = Approach::from_policy_name(name, 0.7).expect("registered");
+            let req = request(i as u64, approach, scenario, 3);
+            let got = session.run_cohort(&[&req]);
+            assert_eq!(got, [req.run_serial(&pool, &curve_cache)], "{name}");
+        }
+        let stats = runner.stats();
+        assert_eq!(stats.campaigns, Approach::registered_policies().len() as u64);
+        assert_eq!(stats.groups, 1);
     }
 
     #[test]

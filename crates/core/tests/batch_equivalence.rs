@@ -10,6 +10,7 @@
 
 use spottune_cloud::FaultPlan;
 use spottune_core::prelude::*;
+use spottune_core::COHORT_WIDTH;
 use spottune_market::prelude::*;
 use spottune_market::{EstimatorSpec, MarketScenario};
 use spottune_mlsim::prelude::*;
@@ -84,58 +85,12 @@ fn full_policy_estimator_matrix_is_bit_identical_to_serial() {
     assert_eq!(stats.predictor_cache.misses, 3, "{:?}", stats.predictor_cache);
     assert_eq!(stats.pool_cache.misses, 1);
     assert_eq!(stats.spine_cache.misses, 1);
-    // The default runner stages the matrix through the SoA cohort path:
-    // transient predictions must actually cross the lane kernel.
-    assert!(runner.soa(), "run_many defaults to the SoA path");
+    // The matrix is staged through SoA cohorts: transient predictions must
+    // actually cross the lane kernel.
     assert!(stats.kernel_invocations > 0, "matrix must exercise the lane kernel");
     assert!(stats.lane_jobs > 0);
     let occupancy = stats.lane_occupancy().expect("kernel ran");
     assert!(occupancy > 0.0 && occupancy <= 1.0, "occupancy {occupancy}");
-}
-
-/// The `--no-soa` A/B: the SoA cohort path (cross-campaign lane kernel,
-/// probe-cached learned estimators) against the historical one-campaign-
-/// at-a-time group loop. Same requests, bit-identical report vectors; the
-/// counters prove the two runs took different paths.
-#[test]
-fn soa_and_no_soa_runners_produce_bit_identical_reports() {
-    let scenario = MarketScenario::new(SimDur::from_hours(5), 41);
-    let workload = tiny_workload();
-    let approaches = [
-        Approach::SpotTune { theta: 0.7 },
-        Approach::SpotTune { theta: 1.0 },
-        Approach::Hybrid { theta: 0.7, max_revocations: 3 },
-        Approach::MigrationAware { theta: 0.7 },
-    ];
-    let estimators = [
-        EstimatorSpec::default(),
-        EstimatorSpec::Constant { p: 0.2 },
-        spec_for("logistic"),
-    ];
-    let mut requests = Vec::new();
-    for (i, approach) in approaches.iter().cycle().take(12).enumerate() {
-        requests.push(CampaignRequest {
-            id: i as u64,
-            approach: *approach,
-            workload: workload.clone(),
-            scenario,
-            seed: 40 + i as u64,
-            estimator: estimators[i % estimators.len()],
-        });
-    }
-
-    let soa = BatchRunner::new();
-    let scalar = BatchRunner::new().with_soa(false);
-    let got = soa.run_many(&requests);
-    let want = scalar.run_many(&requests);
-    assert_eq!(got, want, "SoA and no-SoA paths must be bit-identical");
-
-    let soa_stats = soa.stats();
-    let scalar_stats = scalar.stats();
-    assert!(soa_stats.kernel_invocations > 0, "SoA run must use the kernel");
-    assert_eq!(scalar_stats.kernel_invocations, 0, "no-SoA run must not");
-    assert_eq!(scalar_stats.lane_occupancy(), None);
-    assert_eq!(soa_stats.campaigns, scalar_stats.campaigns);
 }
 
 /// `migration-aware` under a seeded fault plan with correlated revocation
@@ -404,4 +359,42 @@ fn worker_panic_resurfaces_with_its_payload() {
             "{threads} threads: payload was {message:?}"
         );
     }
+}
+
+/// The recovery a caller of `run_cohort` relies on (the server's worker
+/// loop): a full-width cohort with a NaN-θ request in a middle slot panics
+/// before any report exists; the *same session* then runs the seven
+/// survivors as cohorts of one and a fresh healthy cohort after them, all
+/// bit-identical to `run_serial`, and only campaigns that reported count.
+#[test]
+fn session_survives_an_aborted_cohort() {
+    let scenario = MarketScenario::new(SimDur::from_hours(5), 81);
+    let mut requests = mixed_requests(2 * COHORT_WIDTH, |_| scenario);
+    requests[3].approach = Approach::SpotTune { theta: f64::NAN };
+    let (poisoned, healthy) = requests.split_at(COHORT_WIDTH);
+
+    let runner = BatchRunner::new();
+    let mut session = runner.session(scenario);
+    let cohort: Vec<&CampaignRequest> = poisoned.iter().collect();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run_cohort(&cohort)))
+        .expect_err("a NaN-theta request must panic its cohort");
+    assert_eq!(runner.stats().campaigns, 0, "an aborted cohort produced no report");
+
+    let survivors: Vec<&CampaignRequest> =
+        poisoned.iter().filter(|r| r.id != 3).chain(healthy).collect();
+    let mut reports = Vec::new();
+    for lone in &survivors[..COHORT_WIDTH - 1] {
+        reports.extend(session.run_cohort(&[lone]));
+    }
+    reports.extend(session.run_cohort(&survivors[COHORT_WIDTH - 1..]));
+
+    let pool = scenario.build();
+    let curve_cache = CurveCache::new();
+    assert_eq!(reports.len(), survivors.len());
+    for (request, got) in survivors.iter().zip(&reports) {
+        assert_eq!(*got, request.run_serial(&pool, &curve_cache), "request {}", request.id);
+    }
+    let stats = runner.stats();
+    assert_eq!(stats.campaigns, reports.len() as u64);
+    assert_eq!(stats.predictor_cache.misses, 1, "logistic trains once: {stats:?}");
 }

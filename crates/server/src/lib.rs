@@ -28,6 +28,13 @@
 //!   observable: [`ServerStats`] carries the live queue depth, its
 //!   high-water mark and the rejected/overloaded/expired/drained
 //!   counters.
+//! * **Execution** — a sweep ([`CampaignServer::submit_sweep`]) is grouped
+//!   by market scenario and cut into whole-cohort chunks; a worker runs a
+//!   chunk in [`spottune_core::COHORT_WIDTH`] cohorts through one
+//!   [`spottune_core::GroupSession`] (pool, spine and predictors resolved
+//!   once, SoA lanes, one lane-kernel pass per cohort). That is the only
+//!   sweep path. A lone [`CampaignServer::try_submit`] request runs the
+//!   scalar engine directly — the same code as the `run_serial` reference.
 //! * **Streaming** — every submission (single request or sweep) carries its
 //!   own reply channel; [`CampaignResponse`]s stream back in *completion*
 //!   order, tagged with the request id so clients needing submission order
@@ -89,27 +96,8 @@ use std::time::Instant;
 pub mod net;
 
 /// Campaign-server configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerConfig {
-    /// Whether sweep submissions ride the batched path: requests grouped
-    /// by market scenario and chunked into [`WorkPayload::Group`] items,
-    /// so a worker resolves the group's pool, [`spine`](SpineCache) and
-    /// predictors once and reuses one engine scratch across the chunk.
-    /// Default `true`; `false` restores the one-request-per-work-item
-    /// serial path (the `run_campaigns --no-batch` A/B reference).
-    /// Bit-identity between the two is locked by the core
-    /// `batch_equivalence` suite.
-    pub batch: bool,
-    /// Whether batched group items run through the SoA cohort path:
-    /// campaigns staged in [`spottune_core::COHORT_WIDTH`] cohorts, final-
-    /// metric extrapolations batched through the cross-campaign lane
-    /// kernel, learned estimators behind the probe-context memo. Default
-    /// `true`; `false` restores the one-campaign-at-a-time group loop
-    /// (the `--no-soa` A/B reference). Bit-identity between the two is
-    /// locked by the core `batch_equivalence` suite and the
-    /// `soa_worker_path` server test. Ignored when
-    /// [`batch`](ServerConfig::batch) is off.
-    pub soa: bool,
     /// Worker-pool size; `0` (the default) means one worker per available
     /// core. Campaigns are single-threaded and CPU-bound, so more workers
     /// than cores only adds contention on the shared tiers.
@@ -135,37 +123,10 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            batch: true,
-            soa: true,
-            workers: 0,
-            curve_capacity: 0,
-            predictor_capacity: 0,
-            queue_capacity: 0,
-        }
-    }
-}
-
 impl ServerConfig {
     /// Config with an explicit worker count.
     pub fn with_workers(workers: usize) -> Self {
         ServerConfig { workers, ..ServerConfig::default() }
-    }
-
-    /// Builder-style batched-sweep toggle (`true` is the default; `false`
-    /// is the serial A/B reference path).
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Builder-style SoA cohort-path toggle (`true` is the default;
-    /// `false` is the scalar A/B reference within the batched path).
-    pub fn with_soa(mut self, soa: bool) -> Self {
-        self.soa = soa;
-        self
     }
 
     /// Builder-style curve-tier capacity override (`0` = unbounded).
@@ -221,15 +182,15 @@ pub struct ServerStats {
     pub resident_predictors: usize,
     /// Price spines currently resident.
     pub resident_spines: usize,
-    /// Revocation lookups answered by resident spines across every batched
-    /// campaign — non-zero whenever the batched path actually ran (the CI
-    /// sweep-throughput check asserts this).
+    /// Revocation lookups answered by resident spines across every sweep
+    /// campaign — non-zero whenever a sweep ran (the CI sweep-throughput
+    /// check asserts this).
     pub spine_queries: u64,
-    /// Scenario-group sessions opened by the batched sweep path.
+    /// Scenario-group sessions opened by sweeps (one per work item).
     pub batched_groups: u64,
-    /// Cross-campaign lane-kernel passes executed by the SoA cohort path
-    /// (zero when [`ServerConfig::soa`] is off or no transient campaign
-    /// extrapolated).
+    /// Cross-campaign lane-kernel passes executed by sweep cohorts (zero
+    /// until a transient campaign of a sweep extrapolates; lone
+    /// [`CampaignServer::try_submit`] requests never touch the kernel).
     pub kernel_invocations: u64,
     /// Kernel lane slots processed, including padding up to the 8-wide
     /// chunk boundary; `lane_jobs / lane_slots` is the lane occupancy.
@@ -267,9 +228,8 @@ pub struct ServerStats {
     pub drained: u64,
 }
 
-/// Typed refusal from the non-blocking submission paths
-/// ([`CampaignServer::try_submit`] /
-/// [`CampaignServer::try_submit_sweep`]).
+/// Typed refusal from the non-blocking submission path
+/// ([`CampaignServer::try_submit`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded request queue is at capacity; retry after backoff.
@@ -312,38 +272,35 @@ pub enum WorkOutcome {
     },
 }
 
-/// The submission's reply lane: legacy plain responses, or
-/// deadline-aware [`WorkOutcome`]s.
-enum ReplyLane {
-    Plain(Sender<CampaignResponse>),
-    Outcome(Sender<WorkOutcome>),
-}
-
-/// What one queue slot carries: a lone request, or a same-scenario chunk
-/// of a batched sweep (see [`ServerConfig::batch`]).
+/// What one queue slot carries. Which variant is built follows from what
+/// the server observes — a lone deadline-aware submission or a sweep —
+/// never from an option, and the ledger measures both sides: the `wire_*`
+/// workloads ride `Single`; `Group` runs the `run_cohort` the `sweep_*`
+/// workloads time, and `server.inproc_sweep_per_s` times `Group` itself.
 enum WorkPayload {
-    /// One campaign (the non-batched and deadline-aware paths).
-    Single(CampaignRequest),
+    /// One campaign from [`CampaignServer::try_submit`], run on the scalar
+    /// [`Engine::run`](spottune_core::Engine::run) trunk
+    /// (`Campaign::run_with_estimator`) that
+    /// [`CampaignRequest::run_serial`] also runs on — so the suites'
+    /// reference is exercised by production traffic.
+    ///
+    /// Not a cohort of one, on measurement: routing `try_submit` through a
+    /// [`GroupSession`](spottune_core::GroupSession) held one spine per
+    /// warmed scenario resident in the server and moved `wire_closed`
+    /// `peak_rss_mb` 12.30 → 19.44 MB (+58 %, bound 15 %) and `wire_open`
+    /// 12.49 → 19.39 MB while buying nothing (`wire_closed` p50 87.96 →
+    /// 87.98 ms; `wire_open` p50 1.43 → 1.51 ms, `sat` 1 489 → 1 425 /s).
+    /// Retire this variant once the spine tier is bounded (ROADMAP's
+    /// cold-scenario item).
+    Single {
+        request: CampaignRequest,
+        /// Checked at dequeue: expired work is cancelled before it starts.
+        deadline: Option<Instant>,
+        reply: Sender<WorkOutcome>,
+    },
     /// A same-scenario chunk of a sweep; the worker opens one
     /// [`GroupSession`](spottune_core::GroupSession) for the whole chunk.
-    Group(Vec<CampaignRequest>),
-}
-
-impl WorkPayload {
-    fn len(&self) -> usize {
-        match self {
-            WorkPayload::Single(_) => 1,
-            WorkPayload::Group(reqs) => reqs.len(),
-        }
-    }
-}
-
-/// One queued unit of work: the payload, its optional queue deadline and
-/// the submission's reply lane.
-struct WorkItem {
-    payload: WorkPayload,
-    deadline: Option<Instant>,
-    reply: ReplyLane,
+    Group { requests: Vec<CampaignRequest>, reply: Sender<CampaignResponse> },
 }
 
 /// Graceful-degradation counters accumulated from every completed
@@ -388,24 +345,22 @@ pub struct CampaignServer {
     /// `None` once draining/teardown has closed the intake. Behind a
     /// mutex so [`CampaignServer::begin_drain`] works from `&self`
     /// (shared with connection threads).
-    req_tx: Mutex<Option<Sender<WorkItem>>>,
+    req_tx: Mutex<Option<Sender<WorkPayload>>>,
     /// Depth probe on the request queue: its `len()` is the live queue
     /// depth, and — for a bounded queue — can never exceed the capacity
     /// (the channel enforces the bound under its own lock). The extra
     /// receiver does not keep workers alive: they exit on sender
     /// disconnect, not receiver count.
-    queue_probe: Receiver<WorkItem>,
+    queue_probe: Receiver<WorkPayload>,
     queue_capacity: usize,
-    /// Whether sweeps ride the batched ([`WorkPayload::Group`]) path.
-    batch: bool,
     workers: Vec<JoinHandle<()>>,
     pools: PoolCache,
     curves: CurveCache,
     predictors: PredictorCache,
     spines: SpineCache,
-    /// Shared-tier batched executor the workers drive group items
-    /// through; its counters feed the `batched_groups`/`spine_queries`
-    /// stats.
+    /// Shared-tier batched executor the workers drive sweep chunks
+    /// through; its counters feed the `batched_groups`, `spine_queries`
+    /// and lane stats.
     runner: BatchRunner,
     submitted: AtomicU64,
     completed: Arc<AtomicU64>,
@@ -439,19 +394,17 @@ impl CampaignServer {
     ) -> Self {
         let workers = config.resolved_workers();
         let (req_tx, req_rx) = if config.queue_capacity > 0 {
-            channel::bounded::<WorkItem>(config.queue_capacity)
+            channel::bounded::<WorkPayload>(config.queue_capacity)
         } else {
-            channel::unbounded::<WorkItem>()
+            channel::unbounded::<WorkPayload>()
         };
         let spines = SpineCache::new();
-        let runner = BatchRunner::new()
-            .with_soa(config.soa)
-            .with_tiers(
-                pools.clone(),
-                spines.clone(),
-                curves.clone(),
-                predictors.clone(),
-            );
+        let runner = BatchRunner::new().with_tiers(
+            pools.clone(),
+            spines.clone(),
+            curves.clone(),
+            predictors.clone(),
+        );
         let completed = Arc::new(AtomicU64::new(0));
         let degradation = Arc::new(DegradationCounters::default());
         let queue = Arc::new(QueueCounters::default());
@@ -478,7 +431,6 @@ impl CampaignServer {
             req_tx: Mutex::new(Some(req_tx)),
             queue_probe: req_rx,
             queue_capacity: config.queue_capacity,
-            batch: config.batch,
             workers: handles,
             pools,
             curves,
@@ -495,7 +447,7 @@ impl CampaignServer {
     /// Clones the intake sender, or `None` once draining/teardown has
     /// closed it. (Poisoning cannot outlive this lock: no holder panics
     /// while it is held.)
-    fn intake(&self) -> Option<Sender<WorkItem>> {
+    fn intake(&self) -> Option<Sender<WorkPayload>> {
         self.req_tx.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
@@ -538,51 +490,31 @@ impl CampaignServer {
             return reply_rx;
         };
         self.submitted.fetch_add(requests.len() as u64, Ordering::Relaxed);
-        if self.batch {
-            // Batched path: group by scenario, chunk each group so the
-            // sweep still shards across the pool (≈4 chunks per worker),
-            // and enqueue whole chunks. A worker resolves each chunk's
-            // pool/spine/predictors once and reuses one engine scratch
-            // across it — bit-identical to the serial path below (locked
-            // by the core batch_equivalence suite). On the SoA path a
-            // chunk of more than one cohort is rounded up to whole
-            // cohorts, so only a group's last chunk can end ragged — the
-            // same cohorts, lane slots and occupancy as
-            // `BatchRunner::run_many` over the same requests. Sweeps too
-            // small for that keep their sub-cohort chunks: there, keeping
-            // every worker busy is worth more than full lanes.
-            let mut chunk = requests.len().div_ceil(self.workers.len().max(1) * 4).max(1);
-            if self.runner.soa() && chunk > spottune_core::COHORT_WIDTH {
-                chunk = chunk.next_multiple_of(spottune_core::COHORT_WIDTH);
-            }
-            let mut groups: BTreeMap<MarketScenario, Vec<CampaignRequest>> = BTreeMap::new();
-            for request in requests {
-                groups.entry(request.scenario).or_default().push(request);
-            }
-            'groups: for (_, mut group) in groups {
-                while !group.is_empty() {
-                    let rest = group.split_off(group.len().min(chunk));
-                    let batch = std::mem::replace(&mut group, rest);
-                    let item = WorkItem {
-                        payload: WorkPayload::Group(batch),
-                        deadline: None,
-                        reply: ReplyLane::Plain(reply_tx.clone()),
-                    };
-                    if req_tx.send(item).is_err() {
-                        break 'groups;
-                    }
-                    self.queue.note_enqueued(self.queue_probe.len() as u64);
-                }
-            }
-        } else {
-            for request in requests {
-                let item = WorkItem {
-                    payload: WorkPayload::Single(request),
-                    deadline: None,
-                    reply: ReplyLane::Plain(reply_tx.clone()),
-                };
+        // Group by scenario, chunk each group so the sweep still shards
+        // across the pool (≈4 chunks per worker), and enqueue whole chunks.
+        // A worker resolves each chunk's pool/spine/predictors once and
+        // reuses its engine scratch across it — bit-identical to
+        // `run_serial` (locked by the core batch_equivalence suite). A
+        // chunk of more than one cohort is rounded up to whole cohorts, so
+        // only a group's last chunk can end ragged — the same cohorts, lane
+        // slots and occupancy as `BatchRunner::run_many` over the same
+        // requests. Sweeps too small for that keep their sub-cohort chunks:
+        // there, keeping every worker busy is worth more than full lanes.
+        let mut chunk = requests.len().div_ceil(self.workers.len().max(1) * 4).max(1);
+        if chunk > spottune_core::COHORT_WIDTH {
+            chunk = chunk.next_multiple_of(spottune_core::COHORT_WIDTH);
+        }
+        let mut groups: BTreeMap<MarketScenario, Vec<CampaignRequest>> = BTreeMap::new();
+        for request in requests {
+            groups.entry(request.scenario).or_default().push(request);
+        }
+        'groups: for (_, mut group) in groups {
+            while !group.is_empty() {
+                let rest = group.split_off(group.len().min(chunk));
+                let requests = std::mem::replace(&mut group, rest);
+                let item = WorkPayload::Group { requests, reply: reply_tx.clone() };
                 if req_tx.send(item).is_err() {
-                    break;
+                    break 'groups;
                 }
                 self.queue.note_enqueued(self.queue_probe.len() as u64);
             }
@@ -617,11 +549,7 @@ impl CampaignServer {
             return Err(SubmitError::Draining);
         };
         let (reply_tx, reply_rx) = channel::unbounded();
-        let item = WorkItem {
-            payload: WorkPayload::Single(request),
-            deadline,
-            reply: ReplyLane::Outcome(reply_tx),
-        };
+        let item = WorkPayload::Single { request, deadline, reply: reply_tx };
         match req_tx.try_send(item) {
             Ok(()) => {
                 self.queue.note_enqueued(self.queue_probe.len() as u64);
@@ -634,63 +562,6 @@ impl CampaignServer {
             }
             Err(TrySendError::Disconnected(_)) => Err(SubmitError::Draining),
         }
-    }
-
-    /// Sweep variant of [`CampaignServer::try_submit`]: all requests are
-    /// validated up front (all-or-nothing, like
-    /// [`CampaignServer::submit_sweep_checked`]) and each is then offered
-    /// to the queue non-blockingly. If the queue fills mid-sweep the
-    /// remainder is refused with [`SubmitError::Overloaded`] — but the
-    /// already-queued prefix still runs and streams its outcomes on the
-    /// receiver paired with the error, so no accepted work is lost.
-    #[allow(clippy::type_complexity)]
-    pub fn try_submit_sweep(
-        &self,
-        requests: Vec<CampaignRequest>,
-        deadline: Option<Instant>,
-    ) -> (Receiver<WorkOutcome>, Result<usize, SubmitError>) {
-        let (reply_tx, reply_rx) = channel::unbounded();
-        for request in &requests {
-            if let Err(reason) = request.validate() {
-                self.queue.rejected.fetch_add(1, Ordering::Relaxed);
-                let reason = format!("request {}: {reason}", request.id);
-                return (reply_rx, Err(SubmitError::Rejected(reason)));
-            }
-        }
-        let Some(req_tx) = self.intake() else {
-            return (reply_rx, Err(SubmitError::Draining));
-        };
-        let mut queued = 0usize;
-        for request in requests {
-            let item = WorkItem {
-                payload: WorkPayload::Single(request),
-                deadline,
-                reply: ReplyLane::Outcome(reply_tx.clone()),
-            };
-            match req_tx.try_send(item) {
-                Ok(()) => {
-                    self.queue.note_enqueued(self.queue_probe.len() as u64);
-                    queued += 1;
-                }
-                Err(TrySendError::Full(_)) => {
-                    self.queue.overloaded.fetch_add(1, Ordering::Relaxed);
-                    self.submitted.fetch_add(queued as u64, Ordering::Relaxed);
-                    drop(reply_tx);
-                    return (
-                        reply_rx,
-                        Err(SubmitError::Overloaded { capacity: self.queue_capacity }),
-                    );
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.submitted.fetch_add(queued as u64, Ordering::Relaxed);
-                    drop(reply_tx);
-                    return (reply_rx, Err(SubmitError::Draining));
-                }
-            }
-        }
-        self.submitted.fetch_add(queued as u64, Ordering::Relaxed);
-        drop(reply_tx);
-        (reply_rx, Ok(queued))
     }
 
     /// Validating variant of [`CampaignServer::submit_sweep`]: every
@@ -760,23 +631,27 @@ impl CampaignServer {
 
     /// Counters and shared-tier state.
     pub fn stats(&self) -> ServerStats {
+        // One snapshot (the runner shares this server's tiers): each
+        // `BatchRunner::stats` locks the spine map and walks every resident
+        // spine, and the lane counters should come from one instant.
+        let batch = self.runner.stats();
         ServerStats {
             workers: self.workers.len(),
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            pool_cache: self.pools.stats(),
+            pool_cache: batch.pool_cache,
             curve_cache: self.curves.stats(),
-            predictor_cache: self.predictors.stats(),
-            spine_cache: self.spines.stats(),
+            predictor_cache: batch.predictor_cache,
+            spine_cache: batch.spine_cache,
             resident_pools: self.pools.len(),
             resident_curves: self.curves.len(),
             resident_predictors: self.predictors.len(),
             resident_spines: self.spines.len(),
-            spine_queries: self.spines.resident_queries(),
-            batched_groups: self.runner.stats().groups,
-            kernel_invocations: self.runner.stats().kernel_invocations,
-            lane_slots: self.runner.stats().lane_slots,
-            lane_jobs: self.runner.stats().lane_jobs,
+            spine_queries: batch.spine_queries,
+            batched_groups: batch.groups,
+            kernel_invocations: batch.kernel_invocations,
+            lane_slots: batch.lane_slots,
+            lane_jobs: batch.lane_jobs,
             revocations: self.degradation.revocations.load(Ordering::Relaxed),
             lost_steps: self.degradation.lost_steps.load(Ordering::Relaxed),
             migrations: self.degradation.migrations.load(Ordering::Relaxed),
@@ -832,118 +707,84 @@ impl Drop for CampaignServer {
     }
 }
 
-/// The resident worker body: pull a request, resolve its pool through the
-/// shared tier, resolve its estimator (learned specs go through the
-/// trained-predictor tier, so each `(scenario, kind)` trains at most
-/// once), run the campaign against the shared curve memo, stream the
-/// response back on the submission's reply lane.
+/// The resident worker body: pull a work item, run it against the shared
+/// tiers, stream each response back on the submission's reply channel. A
+/// lone request resolves its pool and estimator itself (learned specs go
+/// through the trained-predictor tier, so each `(scenario, kind)` trains at
+/// most once); a sweep chunk runs in cohorts through one
+/// [`GroupSession`](spottune_core::GroupSession).
 ///
 /// Campaign panics (a malformed wire request — NaN θ, empty grid — hitting
 /// a validation assert) are confined to the request: the worker drops that
 /// response and lives on to serve the rest of the queue. Letting the
 /// worker die instead would strand every queued request holding a reply
-/// lane, hanging their clients forever.
-fn worker_loop(rx: &Receiver<WorkItem>, shared: &WorkerShared) {
-    let WorkerShared { runner, pools, curves, predictors, completed, degradation, queue } =
-        shared;
-    while let Ok(WorkItem { payload, deadline, reply }) = rx.recv() {
-        // Deadline check happens at dequeue: an expired payload is
-        // cancelled before any of its campaigns start.
-        if let Some(deadline) = deadline {
-            if Instant::now() > deadline {
-                queue.expired.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                if let ReplyLane::Outcome(tx) = &reply {
-                    match &payload {
-                        WorkPayload::Single(request) => {
-                            let _ = tx.send(WorkOutcome::Expired { id: request.id });
-                        }
-                        WorkPayload::Group(requests) => {
-                            for request in requests {
-                                let _ = tx.send(WorkOutcome::Expired { id: request.id });
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-        }
-        match payload {
-            WorkPayload::Single(request) => {
+/// channel, hanging their clients forever.
+fn worker_loop(rx: &Receiver<WorkPayload>, shared: &WorkerShared) {
+    while let Ok(item) = rx.recv() {
+        match item {
+            WorkPayload::Single { request, deadline, reply } => {
                 let id = request.id;
+                if deadline.is_some_and(|deadline| Instant::now() > deadline) {
+                    shared.queue.expired.fetch_add(1, Ordering::Relaxed);
+                    let _ = reply.send(WorkOutcome::Expired { id });
+                    continue;
+                }
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let pool = pools.get(request.scenario);
+                    let pool = shared.pools.get(request.scenario);
                     let campaign = request.campaign();
                     match PredictorKind::from_spec(&request.estimator) {
                         Some(kind) => {
-                            let trained = predictors.get(kind, request.scenario, &pool);
-                            campaign.run_with_estimator(&pool, curves, trained.as_ref())
+                            let trained = shared.predictors.get(kind, request.scenario, &pool);
+                            campaign.run_with_estimator(&pool, &shared.curves, trained.as_ref())
                         }
-                        None => campaign.run_with_cache(&pool, curves),
+                        None => campaign.run_with_cache(&pool, &shared.curves),
                     }
                 }));
-                settle_outcome(id, outcome, &reply, completed, degradation, queue);
+                match outcome {
+                    // A client that dropped its receiver no longer wants
+                    // the report; that is not a server error.
+                    Ok(report) => {
+                        let _ = reply.send(WorkOutcome::Done(Box::new(shared.settle(id, report))));
+                    }
+                    Err(_) => drop_panicked(id),
+                }
             }
-            WorkPayload::Group(requests) => {
+            WorkPayload::Group { requests, reply } => {
                 let Some(first) = requests.first() else {
                     continue;
                 };
-                // One session for the whole chunk: pool and spine
-                // resolved once, estimators and SPE tables memoized,
-                // engine scratch reused across every campaign.
-                let mut session = runner.session(first.scenario);
-                if runner.soa() {
-                    // SoA hot path: the chunk runs in lane cohorts. A
-                    // panicking campaign aborts its whole cohort mid-
-                    // barrier, so the cohort falls back to the scalar
-                    // per-campaign loop — panics re-confine to the one
-                    // poisoned request, its cohort-mates still report.
-                    for cohort in requests.chunks(spottune_core::COHORT_WIDTH) {
-                        let refs: Vec<&CampaignRequest> = cohort.iter().collect();
-                        let outcome = std::panic::catch_unwind(
-                            std::panic::AssertUnwindSafe(|| session.run_cohort(&refs)),
-                        );
-                        match outcome {
-                            Ok(reports) => {
-                                for (request, report) in cohort.iter().zip(reports) {
-                                    settle_outcome(
-                                        request.id,
-                                        Ok(report),
-                                        &reply,
-                                        completed,
-                                        degradation,
-                                        queue,
-                                    );
-                                }
-                            }
-                            Err(_) => {
-                                for request in cohort {
-                                    let outcome = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            session.run_one(request)
-                                        }),
-                                    );
-                                    settle_outcome(
-                                        request.id,
-                                        outcome,
-                                        &reply,
-                                        completed,
-                                        degradation,
-                                        queue,
-                                    );
-                                }
-                            }
-                        }
+                // One session for the whole chunk: pool and spine resolved
+                // once, estimators and SPE tables memoized, engine scratch
+                // reused across every cohort.
+                let mut session = shared.runner.session(first.scenario);
+                // Runs one cohort and streams its reports; `false` if a
+                // campaign panicked (nothing was reported).
+                let mut run = |cohort: &[CampaignRequest]| {
+                    let refs: Vec<&CampaignRequest> = cohort.iter().collect();
+                    let Ok(reports) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                        || session.run_cohort(&refs),
+                    )) else {
+                        return false;
+                    };
+                    for (request, report) in cohort.iter().zip(reports) {
+                        let _ = reply.send(shared.settle(request.id, report));
                     }
-                } else {
-                    for request in &requests {
-                        // Panics stay confined to one campaign: the
-                        // session's scratch is fully re-prepared on the
-                        // next run, so a poisoned request never taints
-                        // its chunk-mates.
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || session.run_one(request),
-                        ));
-                        settle_outcome(request.id, outcome, &reply, completed, degradation, queue);
+                    true
+                };
+                for cohort in requests.chunks(spottune_core::COHORT_WIDTH) {
+                    if run(cohort) {
+                        continue;
+                    }
+                    // A panicking campaign aborts its whole cohort before
+                    // any report exists. The session re-prepares its scratch
+                    // per cohort, so re-running the cohort as cohorts of one
+                    // re-confines the panic to the poisoned request and its
+                    // cohort-mates still report. (A cohort that already was
+                    // one has had its run.)
+                    for lone in cohort.chunks(1) {
+                        if cohort.len() == 1 || !run(lone) {
+                            drop_panicked(lone[0].id);
+                        }
                     }
                 }
             }
@@ -965,44 +806,27 @@ struct WorkerShared {
     queue: Arc<QueueCounters>,
 }
 
-/// Folds one campaign's result into the server counters and streams the
-/// response (or drops it on a panic) — shared by the single and batched
-/// worker paths.
-fn settle_outcome(
-    id: u64,
-    outcome: std::thread::Result<spottune_core::HptReport>,
-    reply: &ReplyLane,
-    completed: &AtomicU64,
-    degradation: &DegradationCounters,
-    queue: &QueueCounters,
-) {
-    match outcome {
-        Ok(report) => {
-            completed.fetch_add(1, Ordering::Relaxed);
-            if queue.draining.load(Ordering::SeqCst) {
-                queue.drained.fetch_add(1, Ordering::Relaxed);
-            }
-            degradation.revocations.fetch_add(report.revocations, Ordering::Relaxed);
-            degradation.lost_steps.fetch_add(report.lost_steps, Ordering::Relaxed);
-            degradation.migrations.fetch_add(report.migrations, Ordering::Relaxed);
-            // A client that dropped its receiver no longer wants the
-            // report; that is not a server error.
-            let response = CampaignResponse { id, report };
-            match reply {
-                ReplyLane::Plain(tx) => {
-                    let _ = tx.send(response);
-                }
-                ReplyLane::Outcome(tx) => {
-                    let _ = tx.send(WorkOutcome::Done(Box::new(response)));
-                }
-            }
+impl WorkerShared {
+    /// Folds one finished campaign into the server counters and wraps its
+    /// report for the reply channel.
+    fn settle(&self, id: u64, report: spottune_core::HptReport) -> CampaignResponse {
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        if self.queue.draining.load(Ordering::SeqCst) {
+            self.queue.drained.fetch_add(1, Ordering::Relaxed);
         }
-        // The panic message has already been printed by the default
-        // hook; withholding the response shortens the sweep's stream by
-        // one, which streaming clients observe as a missing id and
-        // `run_sweep` reports by panicking.
-        Err(_) => eprintln!("campaign request {id} panicked; dropping its response"),
+        self.degradation.revocations.fetch_add(report.revocations, Ordering::Relaxed);
+        self.degradation.lost_steps.fetch_add(report.lost_steps, Ordering::Relaxed);
+        self.degradation.migrations.fetch_add(report.migrations, Ordering::Relaxed);
+        CampaignResponse { id, report }
     }
+}
+
+/// A campaign panicked. Its message has already been printed by the
+/// default hook; withholding the response shortens the submission's stream
+/// by one, which streaming clients observe as a missing id and `run_sweep`
+/// reports by panicking.
+fn drop_panicked(id: u64) {
+    eprintln!("campaign request {id} panicked; dropping its response");
 }
 
 #[cfg(test)]
@@ -1272,52 +1096,33 @@ mod tests {
     }
 
     #[test]
-    fn draining_try_submit_sweep_returns_typed_error_and_empty_stream() {
-        let server = CampaignServer::start(ServerConfig::with_workers(1));
-        server.begin_drain();
-        let (rx, verdict) = server.try_submit_sweep((0..4).map(request).collect(), None);
-        assert_eq!(verdict, Err(SubmitError::Draining));
-        // The paired stream disconnects at once: partial results (none
-        // here) plus a typed error, never a hang.
-        assert!(rx.recv().is_err());
-        server.shutdown();
-    }
-
-    #[test]
-    fn overloaded_try_submit_sweep_still_streams_accepted_prefix() {
-        let server = CampaignServer::start(
-            ServerConfig::with_workers(1).with_queue_capacity(2),
-        );
-        let (rx, verdict) = server.try_submit_sweep((0..200).map(request).collect(), None);
-        match verdict {
-            Err(SubmitError::Overloaded { capacity }) => assert_eq!(capacity, 2),
-            other => panic!("a 200-request burst into a capacity-2 queue must overload: {other:?}"),
-        }
-        // The accepted prefix runs to completion and the stream then
-        // closes — partial results plus the typed error above.
-        let done: Vec<WorkOutcome> = rx.iter().collect();
-        let count = done.len();
-        assert!((1..200).contains(&count), "expected a partial prefix, got {count}");
-        assert!(done.iter().all(|o| matches!(o, WorkOutcome::Done(_))));
-        server.shutdown();
-    }
-
-    #[test]
     fn panicking_campaign_does_not_strand_queued_requests() {
         let server = CampaignServer::start(ServerConfig::with_workers(1));
-        // NaN θ fails SpotTuneConfig validation inside the campaign; with a
-        // single worker the two healthy requests sit queued behind it.
-        let mut poisoned = request(0);
-        poisoned.approach = Approach::SpotTune { theta: f64::NAN };
-        let mut ids: Vec<u64> = server
-            .submit_sweep(vec![poisoned, request(1), request(2)])
-            .iter()
-            .map(|r| r.id)
-            .collect();
-        ids.sort_unstable();
-        // The stream terminates (no hang), one response short.
-        assert_eq!(ids, vec![1, 2]);
-        assert_eq!(server.stats().completed, 2);
+        // One scenario, 44 requests on one worker: work items of 16, 16 and
+        // 12, the last a full cohort (ids 32..40) plus a remainder of four.
+        // NaN θ fails SpotTuneConfig validation inside the campaign and
+        // aborts that full cohort mid-staging; its seven cohort-mates re-run
+        // as cohorts of one and the remainder cohort follows on the same
+        // session.
+        let mut requests: Vec<CampaignRequest> = (0..44).map(request).collect();
+        for req in requests.iter_mut().step_by(2) {
+            req.approach = Approach::SpotTune { theta: 0.7 };
+        }
+        requests[35].approach = Approach::SpotTune { theta: f64::NAN };
+        let mut responses: Vec<CampaignResponse> =
+            server.submit_sweep(requests.clone()).iter().collect();
+        responses.sort_unstable_by_key(|r| r.id);
+        // The stream terminates (no hang), one response short, and every
+        // survivor carries the bits of the serial reference.
+        requests.remove(35);
+        assert_eq!(responses.len(), 43);
+        let pool = requests[0].scenario.build();
+        for (request, response) in requests.iter().zip(&responses) {
+            assert_eq!(request.id, response.id);
+            assert_eq!(response.report, request.run_serial(&pool, &CurveCache::new()));
+        }
+        let stats = server.stats();
+        assert_eq!((stats.completed, stats.batched_groups), (43, 3), "{stats:?}");
         server.shutdown();
     }
 }

@@ -59,16 +59,16 @@ fn sweep_1000_is_bit_identical_to_serial_with_memo_hits() {
     // Two scenarios serve a thousand campaigns.
     assert_eq!(stats.resident_pools, 2);
     assert_eq!(stats.resident_spines, 2);
-    // The batched path resolves its pool and spine once per scenario
-    // *chunk*, not once per campaign: one build per scenario, one lookup
-    // per group session.
+    // A sweep resolves its pool and spine once per scenario *chunk*, not
+    // once per campaign: one build per scenario, one lookup per group
+    // session.
     assert_eq!(stats.pool_cache.misses, 2);
     assert_eq!(stats.spine_cache.misses, 2);
-    assert!(stats.batched_groups > 0, "default config must take the batched path");
+    assert!(stats.batched_groups > 0, "sweeps run through group sessions");
     assert_eq!(stats.pool_cache.lookups(), stats.batched_groups);
     assert!(
         stats.spine_queries > 0,
-        "batched campaigns must answer revocation lookups through the spine"
+        "sweep campaigns must answer revocation lookups through the spine"
     );
     // The three θ values per (workload, seed) share ground-truth curves:
     // the cross-request memo tier must be doing real work.
@@ -78,36 +78,10 @@ fn sweep_1000_is_bit_identical_to_serial_with_memo_hits() {
         stats.curve_cache
     );
 
-    // The default server stages batched chunks through the SoA cohort
-    // path; the sweep's transient campaigns must actually cross the lane
-    // kernel.
-    assert!(stats.kernel_invocations > 0, "default config must take the SoA path");
+    // Chunks are staged through SoA cohorts; the sweep's transient
+    // campaigns must actually cross the lane kernel.
+    assert!(stats.kernel_invocations > 0, "sweep cohorts must invoke the lane kernel");
     assert!(stats.lane_jobs > 0 && stats.lane_slots >= stats.lane_jobs);
-
-    // A/B: the batched-but-scalar server (`--no-soa`) runs chunks one
-    // campaign at a time, skips the kernel, and must agree bit-for-bit.
-    let scalar_server = CampaignServer::start(ServerConfig::default().with_soa(false));
-    let scalar_responses = scalar_server.run_sweep(requests.clone());
-    let scalar_stats = scalar_server.stats();
-    scalar_server.shutdown();
-    assert!(scalar_stats.batched_groups > 0, "no-soa keeps the batched path");
-    assert_eq!(scalar_stats.kernel_invocations, 0, "no-soa must not touch the kernel");
-    for (soa, scalar) in responses.iter().zip(&scalar_responses) {
-        assert_eq!(soa, scalar, "SoA and scalar worker paths must agree");
-    }
-
-    // A/B: the non-batched server runs the same sweep one request per
-    // work item (one pool lookup per campaign) and must agree bit-for-bit.
-    let serial_server = CampaignServer::start(ServerConfig::default().with_batch(false));
-    let serial_responses = serial_server.run_sweep(requests.clone());
-    let serial_stats = serial_server.stats();
-    serial_server.shutdown();
-    assert_eq!(serial_stats.pool_cache.misses, 2);
-    assert_eq!(serial_stats.pool_cache.hits, 998);
-    assert_eq!(serial_stats.batched_groups, 0, "no-batch config must stay serial");
-    for (batched, serial) in responses.iter().zip(&serial_responses) {
-        assert_eq!(batched, serial, "batched and serial server paths must agree");
-    }
 
     // Serial reference: same campaigns, same seeds, fresh per-run state.
     // Build each distinct scenario's pool once; the comparison is about

@@ -12,7 +12,8 @@
 //! 2. **Coverage** — the panic-free request path (P1) and the
 //!    registry/CI/test-suite cross-check (R1): every registered policy and
 //!    estimator stays in the CI matrix and the equivalence/storm suites,
-//!    including the batch suite's SoA lane-path tests.
+//!    including the batch-equivalence suite every sweep's cohort path is
+//!    locked by.
 //! 3. **Confinement** — `unsafe` stays inside the audited kernel modules
 //!    (U1); everywhere else it needs a `spotlint.allow` audit.
 //!

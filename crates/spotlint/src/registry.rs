@@ -10,11 +10,9 @@
 //! treatment against the TCP suites: every frame kind the server can send
 //! must be provoked by at least one socket-level test. Finally, every
 //! registered policy must be covered by the batch-equivalence suite
-//! (crates/core/tests/batch_equivalence.rs) so the server's batched
-//! default can never ship a policy whose batched and serial paths were
-//! not proven bit-identical — and covered by that suite's *lane-path*
-//! tests specifically ([`lane_scope`]), because the SoA cohort staging is
-//! the default and the scalar fallback proves nothing about it.
+//! (crates/core/tests/batch_equivalence.rs) so a sweep can never run a
+//! policy whose cohort path was not proven bit-identical to the serial
+//! reference.
 
 use crate::lexer::{lex, Tok};
 use crate::rules::Finding;
@@ -162,69 +160,6 @@ fn kind_of(entry: &str) -> &str {
     entry.split('(').next().unwrap_or(entry).trim()
 }
 
-/// Identifiers that mark a test body as exercising the SoA lane path:
-/// the runner toggle and the counters only a lane run can move.
-const LANE_MARKERS: &[&str] =
-    &["soa", "with_soa", "kernel_invocations", "lane_occupancy", "lane_jobs"];
-
-/// The *lane scope* of the batch-equivalence suite: the concatenated
-/// source text of every `fn` whose body mentions a [`LANE_MARKERS`]
-/// identifier. Coverage inside this scope proves a policy went through
-/// the SoA cohort staging, not just the scalar group loop; an empty
-/// scope means the suite has no lane-path test at all.
-pub fn lane_scope(src: &str) -> String {
-    let toks = lex(src);
-    let lines: Vec<&str> = src.lines().collect();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !toks[i].tok.is_ident("fn") {
-            i += 1;
-            continue;
-        }
-        let start_line = toks[i].line;
-        // The body's opening brace (a `;`-terminated signature has none).
-        let mut j = i + 1;
-        while j < toks.len() && !toks[j].tok.is_punct('{') {
-            if toks[j].tok.is_punct(';') {
-                break;
-            }
-            j += 1;
-        }
-        if j >= toks.len() || !toks[j].tok.is_punct('{') {
-            i = j + 1;
-            continue;
-        }
-        // Brace-matched body span.
-        let mut depth = 0usize;
-        let mut k = j;
-        while k < toks.len() {
-            if toks[k].tok.is_punct('{') {
-                depth += 1;
-            } else if toks[k].tok.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            k += 1;
-        }
-        let body = &toks[j..k.min(toks.len())];
-        if body
-            .iter()
-            .any(|t| t.tok.ident().is_some_and(|s| LANE_MARKERS.contains(&s)))
-        {
-            let end_line = toks.get(k).map_or(lines.len(), |t| t.line);
-            for line in lines.iter().take(end_line.min(lines.len())).skip(start_line - 1) {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        i = k + 1;
-    }
-    out
-}
-
 /// Line of the matrix key `key:` in the YAML (for findings about missing
 /// entries), defaulting to 1.
 fn key_line(yaml: &str, key: &str) -> usize {
@@ -360,8 +295,8 @@ pub fn check_r1(inputs: &RegistryInputs) -> Vec<Finding> {
     //    bit-identical through the batched sweep path. The suite iterating
     //    `registered_policies()` covers every name by construction;
     //    otherwise the literal name must appear. Without this, a new
-    //    policy can ship exercised only by the serial reference while the
-    //    server's default path runs it batched.
+    //    policy can ship exercised only by the serial reference while
+    //    every sweep runs it in cohorts.
     let batch_driven = inputs.batch_suite.contains("registered_policies");
     for p in &policies {
         let covered = batch_driven || contains_ci(&inputs.batch_suite, &p.name);
@@ -376,40 +311,6 @@ pub fn check_r1(inputs: &RegistryInputs) -> Vec<Finding> {
                 ),
                 p.name.clone(),
             ));
-        }
-    }
-    // 5b. Lane-path coverage: the SoA cohort staging (cross-campaign lane
-    //    kernel) is the default transient path, so coverage through the
-    //    scalar fallback alone proves nothing about where a policy
-    //    actually runs. The suite must contain at least one lane test
-    //    (a `fn` exercising `with_soa` / the lane counters), and every
-    //    registered policy must be exercised inside that lane scope —
-    //    registry iteration covers everything by construction, as usual.
-    let lane = lane_scope(&inputs.batch_suite);
-    if lane.is_empty() {
-        out.push(r1(
-            BATCH_SUITE_PATH,
-            1,
-            "batch-equivalence suite has no lane-path test (no fn exercises the SoA \
-             toggle or the lane kernel counters); the batched default ships unlocked"
-                .into(),
-            "lane-path".into(),
-        ));
-    } else {
-        let lane_driven = lane.contains("registered_policies");
-        for p in &policies {
-            if !(lane_driven || contains_ci(&lane, &p.name)) {
-                out.push(r1(
-                    POLICY_REGISTRY_PATH,
-                    p.line,
-                    format!(
-                        "registered policy \"{}\" is not exercised by the lane-path (SoA) \
-                         tests of the batch-equivalence suite ({BATCH_SUITE_PATH})",
-                        p.name
-                    ),
-                    p.name.clone(),
-                ));
-            }
         }
     }
     // 6. Error-frame coverage: every wire error-frame kind the server can
@@ -525,12 +426,7 @@ jobs:
                 "crates/server/tests/tcp_chaos.rs".into(),
                 "assert_error_kind(\"overloaded\"); assert_error_kind(\"malformed\");".into(),
             )],
-            batch_suite: "\
-                fn matrix_is_bit_identical() {\
-                    for name in Approach::registered_policies() { run_many(...) }\
-                    assert!(stats.kernel_invocations > 0);\
-                }"
-            .into(),
+            batch_suite: "for name in Approach::registered_policies() { run_many(...) }".into(),
         }
     }
 
@@ -619,64 +515,15 @@ jobs:
 
     #[test]
     fn policy_missing_from_batch_suite_fails() {
-        // A batch suite that only names "spottune" literally (and carries
-        // no lane test) leaves "hybrid" without a batched≡serial lock and
-        // the lane path entirely unlocked.
+        // A batch suite that only names "spottune" literally leaves
+        // "hybrid" without a batched≡serial lock.
         let mut inp = inputs();
         inp.batch_suite = "Approach::SpotTune { theta: 0.7 }".into();
         let f = check_r1(&inp);
-        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].file, POLICY_REGISTRY_PATH);
         assert!(f[0].message.contains("hybrid"), "{}", f[0].message);
         assert!(f[0].message.contains(BATCH_SUITE_PATH), "{}", f[0].message);
-        assert!(f[1].message.contains("no lane-path test"), "{}", f[1].message);
-        // A lane fn iterating the registry covers every policy by
-        // construction, for both the batch and the lane checks.
-        inp.batch_suite =
-            "fn lane() { with_soa(false); for name in Approach::registered_policies() {} }"
-                .into();
-        assert_eq!(check_r1(&inp), vec![]);
-    }
-
-    #[test]
-    fn suite_without_a_lane_test_fails_even_when_fully_covered() {
-        // Full registry coverage through a scalar-only fn is not enough:
-        // nothing proves the SoA default path.
-        let mut inp = inputs();
-        inp.batch_suite =
-            "fn scalar_only() { for name in Approach::registered_policies() {} }".into();
-        let f = check_r1(&inp);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].file, BATCH_SUITE_PATH);
-        assert!(f[0].message.contains("no lane-path test"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn policy_covered_only_outside_the_lane_scope_fails() {
-        // "hybrid" appears in the suite — but only in a scalar fn. The
-        // batched≡serial check passes; the lane-path check must not.
-        let mut inp = inputs();
-        inp.batch_suite = "\
-            fn scalar_matrix() { Approach::Hybrid { theta: 0.7, max_revocations: 3 }; }\n\
-            fn lane_ab() { with_soa(false); Approach::SpotTune { theta: 0.7 }; \
-                assert!(stats.kernel_invocations > 0); }\n"
-            .into();
-        let f = check_r1(&inp);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].file, POLICY_REGISTRY_PATH);
-        assert!(f[0].message.contains("hybrid"), "{}", f[0].message);
-        assert!(f[0].message.contains("lane-path"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn lane_scope_extracts_only_marker_bodies() {
-        let src = "\
-            fn plain() { serial_only(); }\n\
-            fn lane() { runner.with_soa(false); \"migration-aware\"; }\n";
-        let scope = lane_scope(src);
-        assert!(scope.contains("migration-aware"), "{scope}");
-        assert!(!scope.contains("serial_only"), "{scope}");
-        assert_eq!(lane_scope("fn plain() { serial_only(); }"), "");
     }
 
     #[test]

@@ -136,16 +136,11 @@ from source and cross-checks:
      `registered_estimators()` covers the whole registry by construction,
      which is the preferred pattern;
   5. every registered policy is locked batched≡serial by the
-     batch-equivalence suite (`crates/core/tests/batch_equivalence.rs`),
-     so the server's batched default can never ship a policy whose
-     batched path was not proven bit-identical;
-  6. the batch-equivalence suite has a *lane-path* test — one whose body
-     exercises the SoA cohort staging (`with_soa`, the lane kernel
-     counters) — and every registered policy is exercised by those lane
-     tests specifically. The SoA lane kernel is the default transient
-     path; a policy covered only by the scalar fallback is unlocked where
-     it actually runs;
-  7. every wire error-frame kind (`registered_error_kinds()` in
+     batch-equivalence suite (`crates/core/tests/batch_equivalence.rs`).
+     Every sweep runs in SoA cohorts through the lane kernel — there is
+     no other batched path — so this one lock covers where a policy
+     actually runs;
+  6. every wire error-frame kind (`registered_error_kinds()` in
      `crates/core/src/wire.rs`) is provoked by a TCP suite
      (`tcp_chaos.rs` / `tcp_soak.rs`) — a frame kind nothing can trigger
      over a real socket is a frame kind clients cannot trust.
