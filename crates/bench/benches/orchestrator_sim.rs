@@ -6,6 +6,14 @@ use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
 
+/// The paper's SpotTune: an engine under `SpotTuneTheta` over a fresh
+/// `oracle(0.9)`.
+fn spottune(cfg: SpotTuneConfig, workload: &Workload, pool: &MarketPool) -> HptReport {
+    let oracle = OracleEstimator::new(pool.clone(), 0.9);
+    let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+    Engine::new(cfg, workload.clone(), pool.clone()).run(&mut policy)
+}
+
 fn bench_campaign(c: &mut Criterion) {
     let mut group = c.benchmark_group("orchestrator");
     group.sample_size(10);
@@ -20,29 +28,20 @@ fn bench_campaign(c: &mut Criterion) {
     // tick_event_equivalence tests), so the ratio is pure scheduling
     // overhead.
     group.bench_function("campaign_4cfg_60steps_theta07", |b| {
-        b.iter(|| {
-            let oracle = OracleEstimator::new(pool.clone(), 0.9);
-            let cfg = SpotTuneConfig::new(0.7, 2).with_seed(9);
-            Orchestrator::new(cfg, small.clone(), pool.clone(), &oracle).run()
-        })
+        b.iter(|| spottune(SpotTuneConfig::new(0.7, 2).with_seed(9), &small, &pool))
     });
     group.bench_function("campaign_4cfg_60steps_theta07_tickloop", |b| {
         b.iter(|| {
-            let oracle = OracleEstimator::new(pool.clone(), 0.9);
             let cfg = SpotTuneConfig::new(0.7, 2)
                 .with_seed(9)
                 .with_drive_mode(DriveMode::Tick);
-            Orchestrator::new(cfg, small.clone(), pool.clone(), &oracle).run()
+            spottune(cfg, &small, &pool)
         })
     });
     let lor = Workload::benchmark(Algorithm::LoR);
     let lor_small = Workload::custom(Algorithm::LoR, 60, lor.hp_grid()[..4].to_vec());
     group.bench_function("campaign_lor_4cfg_60steps_theta07", |b| {
-        b.iter(|| {
-            let oracle = OracleEstimator::new(pool.clone(), 0.9);
-            let cfg = SpotTuneConfig::new(0.7, 2).with_seed(9);
-            Orchestrator::new(cfg, lor_small.clone(), pool.clone(), &oracle).run()
-        })
+        b.iter(|| spottune(SpotTuneConfig::new(0.7, 2).with_seed(9), &lor_small, &pool))
     });
     group.bench_function("single_spot_baseline_4cfg", |b| {
         b.iter(|| {

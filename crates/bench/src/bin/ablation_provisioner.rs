@@ -59,7 +59,8 @@ fn main() {
             let (label, est) = estimators[ei];
             let w = Workload::benchmark(alg);
             let cfg = SpotTuneConfig::new(0.7, 3).with_seed(MASTER_SEED);
-            let r = Orchestrator::new(cfg, w.clone(), pool.clone(), est).run();
+            let mut policy = SpotTuneTheta::new(est, cfg.delta_range, cfg.theta);
+            let r = Engine::new(cfg, w.clone(), pool.clone()).run(&mut policy);
             vec![
                 w.algorithm().name().to_string(),
                 label.to_string(),

@@ -10,8 +10,8 @@ fn main() {
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let w = Workload::benchmark(Algorithm::LoR);
     let cfg = SpotTuneConfig::new(0.7, 3).with_seed(MASTER_SEED);
-    let orch = Orchestrator::new(cfg, w, pool, &oracle);
-    let (report, events) = orch.run_traced();
+    let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+    let (report, events) = Engine::new(cfg, w, pool).run_traced(&mut policy);
 
     let mut deployed_per_inst: HashMap<String, u64> = HashMap::new();
     let (mut deployed, mut revoked_free, mut revoked_paid, mut recycled, mut finished) =

@@ -15,8 +15,8 @@ fn main() {
     let base = Workload::benchmark(Algorithm::ResNet);
     let workload = Workload::custom(Algorithm::ResNet, 100, base.hp_grid()[..4].to_vec());
     let cfg = SpotTuneConfig::new(0.7, 1).with_seed(MASTER_SEED);
-    let orch = Orchestrator::new(cfg, workload, pool, &oracle);
-    let (report, events) = orch.run_traced();
+    let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+    let (report, events) = Engine::new(cfg, workload, pool).run_traced(&mut policy);
 
     println!("=== Fig 4: lifetime of {} HPT jobs under SpotTune ===", 4);
     for e in &events {

@@ -92,7 +92,8 @@ fn main() {
                 let reports = &reports;
                 scope.spawn(move |_| {
                     let cfg = SpotTuneConfig::new(0.7, 3).with_seed(MASTER_SEED);
-                    let report = Orchestrator::new(cfg, w, pool, est).run();
+                    let mut policy = SpotTuneTheta::new(est, cfg.delta_range, cfg.theta);
+                    let report = Engine::new(cfg, w, pool).run(&mut policy);
                     reports.lock().push((wi * 2 + ei, report));
                 });
             }

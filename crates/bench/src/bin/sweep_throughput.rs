@@ -1,5 +1,5 @@
 //! Sweep-throughput bench: the batched sweep engine
-//! ([`Campaign::run_many`] via [`BatchRunner`]) vs the serial reference
+//! ([`BatchRunner::run_many`]) vs the serial reference
 //! loop ([`CampaignRequest::run_serial`] per campaign), over a
 //! representative policy × estimator × seed grid.
 //!

@@ -1,7 +1,7 @@
 //! # spottune-bench
 //!
 //! Shared infrastructure for the figure/table regeneration binaries (one
-//! per paper figure; see DESIGN.md's experiment index) and the criterion
+//! per paper figure, `src/bin/figNN_*.rs`) and the criterion
 //! micro-benchmarks. The campaign fan-out itself lives in
 //! `spottune-server`: the helpers here are thin clients that build
 //! [`CampaignRequest`]s and stream reports back from a worker pool.

@@ -31,7 +31,7 @@
 use spottune_core::wire::{self, ErrorFrame, ServerFrame};
 use spottune_core::{CampaignRequest, CampaignResponse};
 use spottune_market::seeding;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -144,14 +144,23 @@ impl Connection {
     }
 
     /// Sends one frame and reads one reply line. `Ok(None)` means the
-    /// server closed the connection.
-    fn round_trip(&mut self, frame: &str) -> std::io::Result<Option<String>> {
+    /// server closed the connection; a reply longer than
+    /// [`wire::MAX_FRAME_BYTES`] is a wire error (`take` bounds what one
+    /// server-controlled line may buffer).
+    fn round_trip(&mut self, frame: &str) -> Result<Option<String>, ClientError> {
         self.writer.write_all(frame.as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        let read = (&mut self.reader).take(wire::MAX_FRAME_BYTES).read_line(&mut line)?;
+        if read == 0 {
             return Ok(None);
+        }
+        if read as u64 == wire::MAX_FRAME_BYTES && !line.ends_with('\n') {
+            return Err(ClientError::Wire(wire::WireError::from_message(format!(
+                "reply frame exceeds {} bytes",
+                wire::MAX_FRAME_BYTES
+            ))));
         }
         Ok(Some(line.trim().to_string()))
     }
@@ -182,11 +191,6 @@ impl Client {
         self
     }
 
-    /// The retry policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     fn conn(&mut self) -> std::io::Result<&mut Connection> {
         if self.conn.is_none() {
             self.conn = Some(Connection::open(&self.addr)?);
@@ -199,13 +203,13 @@ impl Client {
         }
     }
 
-    /// One attempt: send the frame, read the reply. A `Connected` error
-    /// or server close drops the cached connection so the next attempt
-    /// reconnects.
+    /// One attempt: send the frame, read the reply. A connection error,
+    /// an oversize reply (its tail is still in the stream) or a server
+    /// close drops the cached connection so the next attempt reconnects.
     fn attempt(&mut self, frame: &str) -> Result<ServerFrame, ClientError> {
         let outcome = match self.conn() {
             Ok(conn) => conn.round_trip(frame),
-            Err(e) => Err(e),
+            Err(e) => Err(ClientError::Io(e)),
         };
         match outcome {
             Ok(Some(line)) => wire::decode_server_frame(&line).map_err(ClientError::Wire),
@@ -215,7 +219,7 @@ impl Client {
             }
             Err(e) => {
                 self.conn = None;
-                Err(ClientError::Io(e))
+                Err(e)
             }
         }
     }
@@ -381,6 +385,27 @@ mod tests {
             assert!(wait <= 1_000, "cap respected at attempt {attempt}: {wait}");
             assert!(wait >= 500, "still backing off at attempt {attempt}: {wait}");
         }
+    }
+
+    #[test]
+    fn oversize_reply_is_a_wire_error_not_an_unbounded_read() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).expect("request line");
+            // The client hangs up at the cap, so the tail of this may fail.
+            let _ = stream.write_all("x".repeat(2 * wire::MAX_FRAME_BYTES as usize).as_bytes());
+        });
+        let mut client = Client::connect(&addr).expect("connect").with_retry(RetryPolicy::none());
+        match client.stats() {
+            Err(ClientError::Wire(e)) => assert!(e.to_string().contains("exceeds"), "{e}"),
+            other => panic!("expected a wire error, got {other:?}"),
+        }
+        assert!(client.conn.is_none(), "the desynchronised connection is dropped");
+        drop(client);
+        server.join().expect("fake server must not panic");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! buffers keep their capacity; workload change → the slots are rebuilt.
 //!
 //! [`EngineScratch`] bundles the arena with the engine's other reusable
-//! buffer (the trace-event log) and is what
-//! [`Engine::run_with_scratch`](crate::engine::Engine::run_with_scratch)
-//! threads through a scenario group.
+//! buffer (the trace-event log) and is what a
+//! [`GroupSession`](crate::batch::GroupSession) threads through a scenario
+//! group, one per cohort slot.
 
 use crate::engine::TraceEvent;
 use crate::job::Job;

@@ -36,7 +36,7 @@
 //! matrix.
 
 use crate::arena::EngineScratch;
-use crate::campaign::{Campaign, CampaignRequest};
+use crate::campaign::CampaignRequest;
 use crate::engine::{compute_spe_means, Engine, SpeTable, TransientExec};
 use crate::policy::PolicyMode;
 use crate::provision::OracleEstimator;
@@ -337,17 +337,6 @@ struct GroupWork {
     next_cohort: AtomicUsize,
 }
 
-impl Campaign {
-    /// Batched counterpart of looping [`CampaignRequest::run_serial`]:
-    /// groups `requests` by scenario, shares pools/spines/predictors per
-    /// group and returns reports in request order. One-shot convenience
-    /// over a fresh [`BatchRunner`] — sweeps that run more than once
-    /// should hold a runner so its tiers persist.
-    pub fn run_many(requests: &[CampaignRequest]) -> Vec<HptReport> {
-        BatchRunner::new().run_many(requests)
-    }
-}
-
 /// A group-resident estimator, built at most once per `(spec)` per session.
 enum GroupEstimator {
     Oracle(OracleEstimator),
@@ -523,7 +512,7 @@ impl GroupSession<'_> {
     }
 
     /// Index of the memoized estimator for `spec`, building it on first
-    /// use. Resolution mirrors [`CampaignRequest::run_serial`] exactly:
+    /// use. Resolution mirrors [`CampaignRequest::run_with_tiers`] exactly:
     /// learned families train for this session's scenario (through the
     /// shared predictor tier — a pure memo of `train_for_scenario`),
     /// ground-truth specs are built from the pool. The oracle additionally
@@ -679,7 +668,7 @@ mod tests {
             request(0, Approach::OnDemand(SingleSpotKind::Cheapest), scenario, 2),
             request(1, Approach::SingleSpot(SingleSpotKind::Fastest), scenario, 2),
         ];
-        let batched = Campaign::run_many(&reqs);
+        let batched = BatchRunner::new().run_many(&reqs);
         let curve_cache = CurveCache::new();
         let pool = scenario.build();
         for (req, got) in reqs.iter().zip(&batched) {

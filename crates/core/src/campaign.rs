@@ -2,19 +2,22 @@
 //!
 //! A *campaign* is a single HPT evaluation point: an approach (a registered
 //! provisioning policy, possibly θ-parameterized) applied to one workload
-//! over one market pool with one seed. The figure binaries, the rayon
-//! fan-outs and the sharded campaign server all funnel through
-//! [`Campaign::run`], so a sweep scheduled any way — serially, across
-//! cores, across a worker pool — produces bit-identical [`HptReport`]s.
+//! over one market scenario with one seed and one revocation estimator.
+//! [`CampaignRequest`] is the only description of one — the figure
+//! binaries, the batched sweep engine and the campaign server all take it,
+//! in process and over the wire — and it carries the scalar trunk itself
+//! ([`CampaignRequest::run_with_estimator`]: config → policy →
+//! [`Engine::run`]), so a sweep scheduled any way — serially
+//! ([`CampaignRequest::run_serial`]), in cohorts, across a worker pool —
+//! produces bit-identical [`HptReport`]s.
 //!
-//! [`CampaignRequest`]/[`CampaignResponse`] are the serializable wire
-//! types of the campaign server: requests name their market environment by
-//! [`MarketScenario`] (a key into the server's shared pool tier), their
-//! approach by policy name ([`Approach::policy_name`]) and their
-//! revocation predictor by [`EstimatorSpec`] (a key into the estimator
-//! registry, and — for the learned families — into the server's shared
-//! trained-predictor tier) — every registered policy × estimator
-//! combination runs through the same cached, sharded pipeline.
+//! Requests name their market environment by [`MarketScenario`] (a key
+//! into the server's shared pool tier), their approach by policy name
+//! ([`Approach::policy_name`]) and their revocation predictor by
+//! [`EstimatorSpec`] (a key into the estimator registry, and — for the
+//! learned families — into the shared trained-predictor tier) — every
+//! registered policy × estimator combination runs through the same
+//! cached, sharded pipeline.
 
 use crate::baseline::SingleSpotKind;
 use crate::config::SpotTuneConfig;
@@ -30,7 +33,7 @@ use spottune_market::{
     ConstantEstimator, EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator,
 };
 use spottune_mlsim::{CurveCache, Workload};
-use spottune_revpred::{train_for_scenario, PredictorKind};
+use spottune_revpred::{PredictorCache, PredictorKind};
 
 /// The provisioning strategies a campaign can evaluate: the paper's
 /// approaches (Fig. 7) plus the related-work policies of the policy layer.
@@ -182,97 +185,6 @@ impl Approach {
     }
 }
 
-/// One fully-specified campaign, minus the market pool it runs against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Campaign {
-    /// The approach under evaluation.
-    pub approach: Approach,
-    /// The workload (algorithm + HP grid + step budget).
-    pub workload: Workload,
-    /// Master seed: engine RNG and training-run seeds derive from it.
-    pub seed: u64,
-    /// The revocation estimator the policy provisions with. Defaults to
-    /// [`EstimatorSpec::default`] (`oracle(0.9)`), which is bit-identical
-    /// to the pre-registry behaviour.
-    pub estimator: EstimatorSpec,
-}
-
-impl Campaign {
-    /// Creates a campaign with the default `oracle(0.9)` estimator.
-    pub fn new(approach: Approach, workload: Workload, seed: u64) -> Self {
-        Campaign { approach, workload, seed, estimator: EstimatorSpec::default() }
-    }
-
-    /// Builder-style estimator-spec override.
-    pub fn with_estimator(mut self, estimator: EstimatorSpec) -> Self {
-        self.estimator = estimator;
-        self
-    }
-
-    /// Runs the campaign over `pool`, memoizing curves through the
-    /// process-wide tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec names a learned predictor family (see
-    /// [`Campaign::run_with_cache`]).
-    pub fn run(&self, pool: &MarketPool) -> HptReport {
-        self.run_with_cache(pool, &CurveCache::global())
-    }
-
-    /// Runs the campaign with an explicit curve-memo tier (the server's
-    /// shared cross-request tier), building the spec'd estimator from the
-    /// pool.
-    ///
-    /// Deterministic: the report is a pure function of `(self, pool)` — the
-    /// tier only changes what is recomputed versus replayed. Every approach
-    /// goes through the same [`Engine`]; only the policy and the estimator
-    /// differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec names a learned predictor family: a trained
-    /// predictor is keyed by *market scenario* (its training seed), which a
-    /// bare pool cannot name. Run through the campaign server (whose
-    /// predictor tier amortizes training), call
-    /// [`CampaignRequest::run_serial`], or train a set yourself and use
-    /// [`Campaign::run_with_estimator`].
-    pub fn run_with_cache(&self, pool: &MarketPool, curve_cache: &CurveCache) -> HptReport {
-        match self.estimator {
-            EstimatorSpec::Oracle { confidence } => {
-                let oracle = OracleEstimator::new(pool.clone(), confidence);
-                self.run_with_estimator(pool, curve_cache, &oracle)
-            }
-            EstimatorSpec::Constant { p } => {
-                let constant = ConstantEstimator::new(p);
-                self.run_with_estimator(pool, curve_cache, &constant)
-            }
-            spec => panic!(
-                "estimator spec {spec} needs a predictor trained for its market scenario; \
-                 submit a CampaignRequest (the server's predictor tier trains once per \
-                 scenario × kind), use CampaignRequest::run_serial, or pass a trained \
-                 MarketPredictorSet to Campaign::run_with_estimator"
-            ),
-        }
-    }
-
-    /// Runs the campaign against an explicit, already-built estimator —
-    /// the common trunk of every campaign path, and the entry point for
-    /// callers holding a trained predictor set.
-    pub fn run_with_estimator(
-        &self,
-        pool: &MarketPool,
-        curve_cache: &CurveCache,
-        estimator: &dyn RevocationEstimator,
-    ) -> HptReport {
-        let cfg = self.approach.config(self.seed);
-        let mut policy = self.approach.build_policy(estimator, &cfg);
-        Engine::new(cfg, self.workload.clone(), pool.clone())
-            .with_curve_cache(curve_cache.clone())
-            .run(policy.as_mut())
-    }
-}
-
 /// One unit of work submitted to the campaign server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignRequest {
@@ -293,28 +205,64 @@ pub struct CampaignRequest {
 }
 
 impl CampaignRequest {
-    /// The campaign this request describes (everything but the pool).
-    pub fn campaign(&self) -> Campaign {
-        Campaign::new(self.approach, self.workload.clone(), self.seed)
-            .with_estimator(self.estimator)
+    /// Runs this request outside the server — the serial reference path of
+    /// the equivalence suites. The estimator is resolved by the very
+    /// function a server worker calls ([`CampaignRequest::run_with_tiers`]),
+    /// only over a fresh predictor tier, so a learned spec trains
+    /// deterministically for the request's scenario right here (uncached —
+    /// the server's tier is what amortizes that) and the report is
+    /// bit-identical to the server's answer for the same request.
+    pub fn run_serial(&self, pool: &MarketPool, curve_cache: &CurveCache) -> HptReport {
+        self.run_with_tiers(pool, curve_cache, &PredictorCache::new())
     }
 
-    /// Runs this request outside the server, resolving the estimator
-    /// exactly as a server worker does: ground-truth specs are built from
-    /// the pool, learned specs are trained deterministically for the
-    /// request's scenario (uncached here — the server's predictor tier is
-    /// what amortizes this). The report is therefore bit-identical to the
-    /// server's answer for the same request, making this the serial
-    /// reference path of the equivalence suites.
-    pub fn run_serial(&self, pool: &MarketPool, curve_cache: &CurveCache) -> HptReport {
-        let campaign = self.campaign();
+    /// Resolves the spec'd estimator and runs: ground-truth specs are built
+    /// from `pool`, learned specs are looked up in `predictors` (a pure
+    /// memo of `train_for_scenario` keyed by `(scenario, kind)`). `pool`
+    /// must be the pool `self.scenario` describes.
+    ///
+    /// Deterministic: the report is a pure function of `self` — the tiers
+    /// only change what is recomputed versus replayed. The server's
+    /// lone-request arm calls this with its shared tiers.
+    pub fn run_with_tiers(
+        &self,
+        pool: &MarketPool,
+        curve_cache: &CurveCache,
+        predictors: &PredictorCache,
+    ) -> HptReport {
         match PredictorKind::from_spec(&self.estimator) {
             Some(kind) => {
-                let trained = train_for_scenario(kind, self.scenario, pool);
-                campaign.run_with_estimator(pool, curve_cache, &trained)
+                let trained = predictors.get(kind, self.scenario, pool);
+                self.run_with_estimator(pool, curve_cache, trained.as_ref())
             }
-            None => campaign.run_with_cache(pool, curve_cache),
+            None => match self.estimator {
+                EstimatorSpec::Oracle { confidence } => {
+                    let oracle = OracleEstimator::new(pool.clone(), confidence);
+                    self.run_with_estimator(pool, curve_cache, &oracle)
+                }
+                EstimatorSpec::Constant { p } => {
+                    self.run_with_estimator(pool, curve_cache, &ConstantEstimator::new(p))
+                }
+                _ => unreachable!("learned specs resolve through PredictorKind::from_spec"),
+            },
         }
+    }
+
+    /// Runs the campaign against an explicit, already-built estimator —
+    /// the common trunk of every scalar campaign path (config → policy →
+    /// [`Engine::run`]), and the entry point for callers holding a trained
+    /// predictor set. `self.estimator` is not consulted.
+    pub fn run_with_estimator(
+        &self,
+        pool: &MarketPool,
+        curve_cache: &CurveCache,
+        estimator: &dyn RevocationEstimator,
+    ) -> HptReport {
+        let cfg = self.approach.config(self.seed);
+        let mut policy = self.approach.build_policy(estimator, &cfg);
+        Engine::new(cfg, self.workload.clone(), pool.clone())
+            .with_curve_cache(curve_cache.clone())
+            .run(policy.as_mut())
     }
 
     /// Checks every invariant a worker would otherwise trip an assert on,
@@ -366,12 +314,23 @@ pub struct CampaignResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spottune_market::SimDur;
     use spottune_mlsim::Algorithm;
 
     fn tiny_workload() -> Workload {
         let base = Workload::benchmark(Algorithm::LoR);
         Workload::custom(Algorithm::LoR, 30, base.hp_grid()[..2].to_vec())
+    }
+
+    /// Seed-5 request over the two-day, seed-11 standard pool.
+    fn request(approach: Approach, estimator: EstimatorSpec) -> CampaignRequest {
+        CampaignRequest {
+            id: 0,
+            approach,
+            workload: tiny_workload(),
+            scenario: MarketScenario::from_days(2, 11),
+            seed: 5,
+            estimator,
+        }
     }
 
     #[test]
@@ -383,10 +342,10 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_tiers() {
-        let pool = MarketPool::standard(SimDur::from_days(2), 11);
-        let campaign = Campaign::new(Approach::SpotTune { theta: 0.6 }, tiny_workload(), 5);
-        let a = campaign.run(&pool);
-        let b = campaign.run_with_cache(&pool, &CurveCache::new());
+        let req = request(Approach::SpotTune { theta: 0.6 }, EstimatorSpec::default());
+        let pool = req.scenario.build();
+        let a = req.run_serial(&pool, &CurveCache::global());
+        let b = req.run_serial(&pool, &CurveCache::new());
         assert_eq!(a, b, "tier choice must never change the report");
     }
 
@@ -394,17 +353,11 @@ mod tests {
     fn request_round_trips_to_campaign() {
         let req = CampaignRequest {
             id: 9,
-            approach: Approach::SingleSpot(SingleSpotKind::Cheapest),
-            workload: tiny_workload(),
             scenario: MarketScenario::from_days(2, 3),
             seed: 21,
-            estimator: EstimatorSpec::default(),
+            ..request(Approach::SingleSpot(SingleSpotKind::Cheapest), EstimatorSpec::default())
         };
-        let campaign = req.campaign();
-        assert_eq!(campaign.approach, req.approach);
-        assert_eq!(campaign.seed, 21);
-        assert_eq!(campaign.estimator, EstimatorSpec::default());
-        let report = campaign.run(&req.scenario.build());
+        let report = req.run_serial(&req.scenario.build(), &CurveCache::global());
         assert!(report.approach.contains("Cheapest"));
         let resp = CampaignResponse { id: req.id, report };
         assert_eq!(resp.id, 9);
@@ -433,45 +386,30 @@ mod tests {
         // The spec plumbing must be a pure refactor: the default spec and a
         // hand-built oracle(0.9) produce the same bits (the 100-campaign ×
         // six-policy version lives in tests/estimator_equivalence.rs).
-        let pool = MarketPool::standard(SimDur::from_days(2), 11);
-        let campaign = Campaign::new(Approach::SpotTune { theta: 0.7 }, tiny_workload(), 5);
-        let via_spec = campaign.run(&pool);
+        let req = request(Approach::SpotTune { theta: 0.7 }, EstimatorSpec::default());
+        let pool = req.scenario.build();
+        let via_spec = req.run_serial(&pool, &CurveCache::global());
         let oracle = OracleEstimator::new(pool.clone(), 0.9);
-        let explicit = campaign.run_with_estimator(&pool, &CurveCache::global(), &oracle);
+        let explicit = req.run_with_estimator(&pool, &CurveCache::global(), &oracle);
         assert_eq!(via_spec, explicit);
     }
 
     #[test]
     fn constant_spec_runs_and_differs_from_the_oracle() {
-        let pool = MarketPool::standard(SimDur::from_days(2), 11);
-        let campaign = Campaign::new(Approach::SpotTune { theta: 0.7 }, tiny_workload(), 5)
-            .with_estimator(EstimatorSpec::Constant { p: 0.0 });
-        let report = campaign.run(&pool);
+        let req = request(Approach::SpotTune { theta: 0.7 }, EstimatorSpec::Constant { p: 0.0 });
+        let report = req.run_serial(&req.scenario.build(), &CurveCache::global());
         assert_eq!(report.predicted_finals.len(), 2);
         assert!(report.cost >= 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "trained")]
-    fn learned_spec_refuses_the_scenarioless_path() {
-        let pool = MarketPool::standard(SimDur::from_days(2), 11);
-        let campaign = Campaign::new(Approach::SpotTune { theta: 0.7 }, tiny_workload(), 5)
-            .with_estimator(EstimatorSpec::RevPred);
-        let _ = campaign.run(&pool);
-    }
-
-    #[test]
     fn run_serial_resolves_learned_specs_deterministically() {
-        let scenario = MarketScenario::from_days(1, 13);
-        let pool = scenario.build();
         let req = CampaignRequest {
-            id: 0,
-            approach: Approach::SpotTune { theta: 0.7 },
-            workload: tiny_workload(),
-            scenario,
+            scenario: MarketScenario::from_days(1, 13),
             seed: 4,
-            estimator: EstimatorSpec::Logistic,
+            ..request(Approach::SpotTune { theta: 0.7 }, EstimatorSpec::Logistic)
         };
+        let pool = req.scenario.build();
         let a = req.run_serial(&pool, &CurveCache::new());
         let b = req.run_serial(&pool, &CurveCache::new());
         assert_eq!(a, b, "learned-spec campaigns must be deterministic");
@@ -480,10 +418,11 @@ mod tests {
 
     #[test]
     fn every_registered_policy_completes_a_campaign() {
-        let pool = MarketPool::standard(SimDur::from_days(2), 11);
+        let pool = MarketScenario::from_days(2, 11).build();
         for name in Approach::registered_policies() {
             let approach = Approach::from_policy_name(name, 0.7).expect("registered");
-            let report = Campaign::new(approach, tiny_workload(), 5).run(&pool);
+            let report = request(approach, EstimatorSpec::default())
+                .run_serial(&pool, &CurveCache::global());
             assert_eq!(report.predicted_finals.len(), 2, "{name}: prediction per config");
             assert!(report.cost >= 0.0, "{name}: cost must be finite");
             assert!(report.jct.as_secs() > 0, "{name}: non-zero JCT");

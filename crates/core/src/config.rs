@@ -85,22 +85,9 @@ impl SpotTuneConfig {
         cfg
     }
 
-    /// Builder-style θ override.
-    pub fn with_theta(mut self, theta: f64) -> Self {
-        self.theta = theta;
-        self.validate();
-        self
-    }
-
     /// Builder-style seed override.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style start-time override.
-    pub fn with_start(mut self, start: SimTime) -> Self {
-        self.start = start;
         self
     }
 

@@ -100,7 +100,6 @@ pub struct Engine {
     workload: Workload,
     pool: MarketPool,
     perf_model: PerfModel,
-    ec_config: EarlyCurveConfig,
     curve_cache: CurveCache,
     fault_plan: Option<FaultPlan>,
     /// Optional shared per-scenario event spine, handed through to the
@@ -121,7 +120,6 @@ impl Engine {
             workload,
             pool,
             perf_model: PerfModel::new(),
-            ec_config: EarlyCurveConfig::default(),
             curve_cache: CurveCache::global(),
             fault_plan: None,
             spine: None,
@@ -160,12 +158,6 @@ impl Engine {
         self
     }
 
-    /// Overrides the EarlyCurve configuration.
-    pub fn with_earlycurve_config(mut self, ec: EarlyCurveConfig) -> Self {
-        self.ec_config = ec;
-        self
-    }
-
     /// Routes the training-curve memo through an explicit shared tier
     /// (the server's cross-request tier) instead of the process default.
     /// Curves are pure functions of their key, so the tier choice affects
@@ -173,11 +165,6 @@ impl Engine {
     pub fn with_curve_cache(mut self, cache: CurveCache) -> Self {
         self.curve_cache = cache;
         self
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &SpotTuneConfig {
-        &self.config
     }
 
     /// Runs the campaign under `policy` to completion and reports.
@@ -194,11 +181,11 @@ impl Engine {
         (report, std::mem::take(&mut scratch.events))
     }
 
-    /// Runs the campaign reusing `scratch`'s job slots and buffers — the
-    /// batched-sweep entry point. The scratch only recycles allocations
-    /// (every slot is reset to exactly the fresh-job state), so the report
-    /// is bit-identical to [`Engine::run`] with a fresh scratch.
-    pub fn run_with_scratch(
+    /// Runs the campaign reusing `scratch`'s job slots and buffers — how a
+    /// cohort runs its dedicated-mode campaigns. The scratch only recycles
+    /// allocations (every slot is reset to exactly the fresh-job state), so
+    /// the report is bit-identical to [`Engine::run`] with a fresh scratch.
+    pub(crate) fn run_with_scratch(
         &self,
         policy: &mut dyn ProvisionPolicy,
         scratch: &mut EngineScratch,
@@ -1000,7 +987,7 @@ impl<'e> TransientExec<'e> {
         scratch.arena.prepare(
             &engine.workload,
             target,
-            engine.ec_config,
+            EarlyCurveConfig::default(),
             cfg.seed,
             &engine.curve_cache,
         );
@@ -1207,3 +1194,70 @@ const ORCH_SALT: u64 = 0x0c_5a17;
 /// in [`crate::baseline`]'s closed-form references — the policy-layer
 /// equivalence tests compare the two paths report-for-report.
 pub(crate) const DEDICATED_SALT: u64 = 0xba5e;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::SpotTuneTheta;
+    use crate::provision::OracleEstimator;
+    use spottune_mlsim::Algorithm;
+
+    fn small_workload() -> Workload {
+        let base = Workload::benchmark(Algorithm::LoR);
+        Workload::custom(Algorithm::LoR, 60, base.hp_grid()[..4].to_vec())
+    }
+
+    /// The paper's SpotTune on [`small_workload`] over the 10-day standard
+    /// pool: an engine bound to [`SpotTuneTheta`].
+    fn run_spottune(cfg: SpotTuneConfig) -> HptReport {
+        let pool = MarketPool::standard(SimDur::from_days(10), 42);
+        let oracle = OracleEstimator::new(pool.clone(), 0.9);
+        let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+        Engine::new(cfg, small_workload(), pool).run(&mut policy)
+    }
+
+    #[test]
+    fn campaign_completes_and_accounts() {
+        let report = run_spottune(SpotTuneConfig::new(0.7, 2).with_seed(7));
+        // Every configuration produced a prediction and a ground truth.
+        assert_eq!(report.predicted_finals.len(), 4);
+        assert_eq!(report.true_finals.len(), 4);
+        assert_eq!(report.selected.len(), 2);
+        // Conservation: every settled step is either free or charged.
+        assert!(report.free_steps + report.charged_steps > 0);
+        // Billing identity.
+        assert!((report.gross - report.cost - report.refunded).abs() < 1e-9);
+        // Time sanity.
+        assert!(report.jct.as_secs() > 0);
+        assert!(report.deployments >= 4);
+    }
+
+    #[test]
+    fn theta_one_runs_every_step() {
+        let report = run_spottune(SpotTuneConfig::new(1.0, 1).with_seed(8));
+        let w = small_workload();
+        // θ=1.0: predictions equal observed finals, so top-1 must hit
+        // unless a job converged early onto the same plateau.
+        assert!(report.top3_hit());
+        let total = report.free_steps + report.charged_steps;
+        // All four configurations ran to (at most) max_trial_steps; with
+        // convergence-based early finishes they may stop a little short.
+        assert!(total <= 4 * w.max_trial_steps());
+        assert!(total >= 4 * w.max_trial_steps() / 2, "total steps {total}");
+    }
+
+    #[test]
+    fn lower_theta_is_cheaper() {
+        let low = run_spottune(SpotTuneConfig::new(0.4, 1).with_seed(9));
+        let high = run_spottune(SpotTuneConfig::new(1.0, 1).with_seed(9));
+        let low_steps = low.free_steps + low.charged_steps;
+        let high_steps = high.free_steps + high.charged_steps;
+        assert!(low_steps < high_steps, "steps {low_steps} vs {high_steps}");
+    }
+
+    #[test]
+    fn label_comes_from_the_policy() {
+        let report = run_spottune(SpotTuneConfig::new(0.7, 1).with_seed(3));
+        assert_eq!(report.approach, "SpotTune(θ=0.7)");
+    }
+}

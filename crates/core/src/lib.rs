@@ -13,16 +13,27 @@
 //! [`policy::BidAware`] (Voorsluys-style bid ladders). See the
 //! [`policy`] module docs for how to write a new one.
 //!
+//! A campaign has one description, [`CampaignRequest`] — the value a
+//! client sends over the wire. Run one in process with
+//! [`CampaignRequest::run_serial`] and a sweep with
+//! [`BatchRunner::run_many`]; [`Engine::run`] under a hand-built policy is
+//! the layer below, for a non-default `mcnt` or a custom
+//! [`ProvisionPolicy`].
+//!
 //! ```no_run
 //! use spottune_core::prelude::*;
 //! use spottune_market::prelude::*;
 //! use spottune_mlsim::prelude::*;
 //!
-//! let pool = MarketPool::standard(SimDur::from_days(12), 42);
-//! let oracle = OracleEstimator::new(pool.clone(), 0.9);
-//! let workload = Workload::benchmark(Algorithm::LoR);
-//! let config = SpotTuneConfig::new(0.7, 3);
-//! let report = Orchestrator::new(config, workload, pool, &oracle).run();
+//! let request = CampaignRequest {
+//!     id: 0,
+//!     approach: Approach::SpotTune { theta: 0.7 },
+//!     workload: Workload::benchmark(Algorithm::LoR),
+//!     scenario: MarketScenario::from_days(12, 42),
+//!     seed: 0,
+//!     estimator: EstimatorSpec::default(),
+//! };
+//! let report = request.run_serial(&request.scenario.build(), &CurveCache::global());
 //! println!("{}", report.summary());
 //! ```
 
@@ -34,7 +45,6 @@ pub mod config;
 pub mod engine;
 pub mod job;
 pub mod migration;
-pub mod orchestrator;
 pub mod perfmatrix;
 pub mod policy;
 pub mod provision;
@@ -48,15 +58,14 @@ pub use baseline::{
 };
 pub use arena::{EngineScratch, JobArena};
 pub use batch::{BatchRunner, BatchStats, GroupSession};
-pub use campaign::{Approach, Campaign, CampaignRequest, CampaignResponse};
+pub use campaign::{Approach, CampaignRequest, CampaignResponse};
 pub use config::{DriveMode, SpotTuneConfig};
-pub use engine::Engine;
+pub use engine::{Engine, TraceEvent};
 pub use migration::{assignment_cost, greedy_assignment, min_cost_assignment};
-pub use orchestrator::{Orchestrator, TraceEvent};
 pub use perfmatrix::PerfMatrix;
 pub use policy::{
     CheckpointPlan, DeployCtx, Matcher, MigrationCtx, MigrationJob, Placement, PolicyMode,
-    ProvisionPolicy,
+    ProvisionPolicy, SpotTuneTheta,
 };
 pub use provision::{InstChoice, OracleEstimator, Provisioner};
 pub use report::HptReport;
@@ -70,16 +79,15 @@ pub mod prelude {
     };
     pub use crate::arena::{EngineScratch, JobArena};
     pub use crate::batch::{BatchRunner, BatchStats, GroupSession};
-    pub use crate::campaign::{Approach, Campaign, CampaignRequest, CampaignResponse};
+    pub use crate::campaign::{Approach, CampaignRequest, CampaignResponse};
     pub use crate::config::{DriveMode, SpotTuneConfig};
-    pub use crate::engine::Engine;
+    pub use crate::engine::{Engine, TraceEvent};
     pub use crate::job::{FinishReason, Job};
     pub use crate::migration::{assignment_cost, greedy_assignment, min_cost_assignment};
-    pub use crate::orchestrator::{Orchestrator, TraceEvent};
     pub use crate::perfmatrix::PerfMatrix;
     pub use crate::policy::{
         CheckpointPlan, DeployCtx, Matcher, MigrationCtx, MigrationJob, Placement, PolicyMode,
-        ProvisionPolicy,
+        ProvisionPolicy, SpotTuneTheta,
     };
     pub use crate::provision::{InstChoice, OracleEstimator, Provisioner};
     pub use crate::report::HptReport;

@@ -247,9 +247,9 @@ pub trait ProvisionPolicy: std::fmt::Debug {
 /// a random bid delta per market, run on the transient drive with the
 /// θ-split exploration/exploitation phases.
 ///
-/// This is the exact decision logic the pre-policy-layer `Orchestrator`
-/// hard-wired; [`Orchestrator`](crate::orchestrator::Orchestrator) now
-/// wraps an engine around this policy, bit-identically.
+/// An [`Engine`](crate::engine::Engine) run under this policy — built
+/// with the engine config's `delta_range` and `theta` — is exactly the
+/// paper's SpotTune (Algorithm 1).
 #[derive(Debug)]
 pub struct SpotTuneTheta<'a> {
     estimator: &'a dyn RevocationEstimator,

@@ -146,11 +146,6 @@ impl<'a> Provisioner<'a> {
             expected_step_cost,
         }
     }
-
-    /// The wrapped estimator's name (for reports).
-    pub fn estimator_name(&self) -> &str {
-        self.estimator.name()
-    }
 }
 
 /// Expected rework per revocation charged by [`Provisioner::best_with_deltas`]:

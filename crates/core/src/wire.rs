@@ -790,14 +790,21 @@ pub fn decode_response(text: &str) -> Result<CampaignResponse> {
 // Connection frames (the newline-delimited TCP protocol)
 // ---------------------------------------------------------------------------
 
+/// Longest frame, newline included, either end of the wire buffers (the
+/// perf ledger's largest frame is a few KB). A server answers a longer
+/// line with one anonymous `malformed` frame, discards it through its
+/// newline and keeps the connection; a client reports a longer reply as a
+/// [`WireError`].
+pub const MAX_FRAME_BYTES: u64 = 1 << 20;
+
 /// The error-frame kinds a server may put on the wire. The names are a
 /// registry (like [`Approach::registered_policies`]): clients match on
-/// them, the docs list them, and spotlint's coverage check requires every
-/// kind to be exercised by the TCP test suites.
+/// them, the docs list them, and `tcp_chaos` requires every kind to be
+/// provoked over a real socket.
 ///
-/// To add a kind: extend this enum, its `name`/`from_name` mappings and
-/// [`registered_error_kinds`], then add a test that puts the new frame on
-/// the wire (see CONTRIBUTING.md).
+/// To add a kind: extend this enum, [`ErrorKind::name`] and
+/// [`ErrorKind::ALL`], then add a test that puts the new frame on the wire
+/// (see CONTRIBUTING.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// The bounded request queue is at capacity; retry after backoff.
@@ -817,6 +824,16 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
+    /// Every kind, in registry order.
+    pub const ALL: [ErrorKind; 6] = [
+        ErrorKind::Overloaded,
+        ErrorKind::Throttled,
+        ErrorKind::DeadlineExceeded,
+        ErrorKind::Malformed,
+        ErrorKind::Rejected,
+        ErrorKind::Draining,
+    ];
+
     /// The registry name carried on the wire.
     pub fn name(self) -> &'static str {
         match self {
@@ -831,16 +848,7 @@ impl ErrorKind {
 
     /// Inverse of [`ErrorKind::name`].
     pub fn from_name(name: &str) -> Option<ErrorKind> {
-        [
-            ErrorKind::Overloaded,
-            ErrorKind::Throttled,
-            ErrorKind::DeadlineExceeded,
-            ErrorKind::Malformed,
-            ErrorKind::Rejected,
-            ErrorKind::Draining,
-        ]
-        .into_iter()
-        .find(|k| k.name() == name)
+        ErrorKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
     /// Whether a client may usefully retry the same request later.
@@ -858,10 +866,10 @@ impl fmt::Display for ErrorKind {
     }
 }
 
-/// Every wire error-frame kind, in registry order. The single source of
-/// truth cross-checked by spotlint against the TCP test suites (rule R1).
+/// The wire name of every error-frame kind, in registry order
+/// ([`ErrorKind::ALL`] through [`ErrorKind::name`]).
 pub fn registered_error_kinds() -> [&'static str; 6] {
-    ["overloaded", "throttled", "deadline-exceeded", "malformed", "rejected", "draining"]
+    ErrorKind::ALL.map(ErrorKind::name)
 }
 
 /// One error frame: the typed refusal a server sends instead of a
@@ -1024,7 +1032,7 @@ pub fn decode_server_frame(text: &str) -> Result<ServerFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spottune_mlsim::Algorithm;
+    use spottune_mlsim::{Algorithm, CurveCache};
 
     fn tiny_workload() -> Workload {
         let base = Workload::benchmark(Algorithm::Svm); // exercises text HPs
@@ -1058,7 +1066,7 @@ mod tests {
     fn response_round_trips_bit_identically() {
         let req = request(Approach::Hybrid { theta: 0.7, max_revocations: 5 });
         let pool = req.scenario.build();
-        let report = req.campaign().run(&pool);
+        let report = req.run_serial(&pool, &CurveCache::global());
         let resp = CampaignResponse { id: req.id, report };
         let back = decode_response(&encode_response(&resp)).expect("round trip");
         assert_eq!(back, resp);
@@ -1327,7 +1335,8 @@ mod tests {
         // A response still decodes as a response through the frame path.
         let req = request(Approach::SpotTune { theta: 0.7 });
         let pool = req.scenario.build();
-        let resp = CampaignResponse { id: req.id, report: req.campaign().run(&pool) };
+        let report = req.run_serial(&pool, &CurveCache::global());
+        let resp = CampaignResponse { id: req.id, report };
         match decode_server_frame(&encode_response(&resp)).expect("response frame") {
             ServerFrame::Response(back) => assert_eq!(back, resp),
             other => panic!("expected response frame, got {other:?}"),
@@ -1340,7 +1349,7 @@ mod tests {
         // Workload names come from the algorithm, so exercise escapes via
         // the report side, which carries free-form labels.
         let pool = MarketScenario::from_days(1, 3).build();
-        let mut report = req.campaign().run(&pool);
+        let mut report = req.run_serial(&pool, &CurveCache::global());
         report.approach = "weird \"label\"\\with\nescapes\tand π".to_string();
         req.id = 1;
         let resp = CampaignResponse { id: 1, report };

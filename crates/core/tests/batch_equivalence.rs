@@ -1,4 +1,4 @@
-//! Batched-sweep acceptance (spotlint R1 batch coverage): the batched
+//! Batched-sweep acceptance: the batched
 //! path — [`BatchRunner::run_many`] grouping requests by scenario over
 //! shared spines, arenas and predictor tiers — must be **bit-identical**
 //! to looping the serial reference [`CampaignRequest::run_serial`], over
@@ -31,7 +31,7 @@ fn spec_for(name: &str) -> EstimatorSpec {
 /// Registry-driven full matrix: every registered policy under every
 /// registered estimator kind, batched vs serial, bit for bit. Iterating
 /// both registries means a newly registered policy or estimator fails
-/// here (and spotlint R1) until the batched path genuinely covers it.
+/// here until the batched path genuinely covers it.
 #[test]
 fn full_policy_estimator_matrix_is_bit_identical_to_serial() {
     // Short traces keep the learned kinds' training windows tiny; the
@@ -122,8 +122,8 @@ fn migration_aware_matches_serial_under_a_storm_plan() {
     let batched = runner.run_many(&requests);
 
     // Serial reference: one fresh engine per campaign, same plan, no
-    // shared spine or scratch (mirrors `Campaign::run_with_cache` with
-    // the fault plan threaded in).
+    // shared spine or scratch (mirrors `CampaignRequest::run_serial`
+    // with the fault plan threaded in).
     let curve_cache = CurveCache::new();
     for (request, got) in requests.iter().zip(&batched) {
         let oracle = OracleEstimator::new(pool.clone(), 0.9);
@@ -163,7 +163,7 @@ fn interleaved_scenarios_preserve_request_order() {
             estimator: EstimatorSpec::Constant { p: 0.2 },
         })
         .collect();
-    let batched = Campaign::run_many(&requests);
+    let batched = BatchRunner::new().run_many(&requests);
     assert_eq!(batched.len(), requests.len());
     let curve_cache = CurveCache::new();
     let near_pool = near.build();

@@ -7,7 +7,7 @@
 //! label).
 
 use spottune_core::prelude::*;
-use spottune_market::{EstimatorSpec, MarketPool, SimDur};
+use spottune_market::{EstimatorSpec, MarketScenario};
 use spottune_mlsim::prelude::*;
 
 fn tiny(algorithm: Algorithm, steps: u64) -> Workload {
@@ -15,10 +15,21 @@ fn tiny(algorithm: Algorithm, steps: u64) -> Workload {
     Workload::custom(algorithm, steps, base.hp_grid()[..2].to_vec())
 }
 
+fn request(
+    approach: Approach,
+    workload: &Workload,
+    scenario: MarketScenario,
+    seed: u64,
+    estimator: EstimatorSpec,
+) -> CampaignRequest {
+    CampaignRequest { id: seed, approach, workload: workload.clone(), scenario, seed, estimator }
+}
+
 /// 6 policies × 2 workloads × 9 seeds = 108 campaigns.
 #[test]
 fn default_spec_is_bit_identical_to_the_prerefactor_oracle_path() {
-    let pool = MarketPool::standard(SimDur::from_days(1), 42);
+    let scenario = MarketScenario::from_days(1, 42);
+    let pool = scenario.build();
     let workloads = [tiny(Algorithm::LoR, 15), tiny(Algorithm::Gbtr, 12)];
     let curve_cache = CurveCache::new();
     let mut campaigns = 0usize;
@@ -26,11 +37,11 @@ fn default_spec_is_bit_identical_to_the_prerefactor_oracle_path() {
         let approach = Approach::from_policy_name(name, 0.7).expect("registered");
         for workload in &workloads {
             for seed in 0..9u64 {
-                let campaign = Campaign::new(approach, workload.clone(), seed);
-                assert_eq!(campaign.estimator, EstimatorSpec::default());
-                let via_spec = campaign.run_with_cache(&pool, &curve_cache);
-                // The pre-refactor body of `Campaign::run`, verbatim: a
-                // hand-built oracle at confidence 0.9 driving the policy.
+                let campaign =
+                    request(approach, workload, scenario, seed, EstimatorSpec::default());
+                let via_spec = campaign.run_serial(&pool, &curve_cache);
+                // The pre-registry campaign body: a hand-built oracle at
+                // confidence 0.9 driving the policy.
                 let oracle = OracleEstimator::new(pool.clone(), 0.9);
                 let legacy = campaign.run_with_estimator(&pool, &curve_cache, &oracle);
                 assert_eq!(
@@ -52,16 +63,18 @@ fn non_default_oracle_accuracy_changes_provisioning() {
     // Long traces + several seeds give the weakened oracle (barely better
     // than a coin flip) room to mis-rank a market the confident oracle
     // ranks correctly.
-    let pool = MarketPool::standard(SimDur::from_days(2), 42);
+    let scenario = MarketScenario::from_days(2, 42);
+    let pool = scenario.build();
     let workload = tiny(Algorithm::LoR, 20);
+    let curve_cache = CurveCache::global();
     let mut any_difference = false;
     for seed in 0..6u64 {
-        let campaign = Campaign::new(Approach::SpotTune { theta: 0.7 }, workload.clone(), seed);
-        let confident = campaign.run(&pool);
-        let hesitant = campaign
-            .clone()
-            .with_estimator(EstimatorSpec::Oracle { confidence: 0.55 })
-            .run(&pool);
+        let run = |estimator| {
+            request(Approach::SpotTune { theta: 0.7 }, &workload, scenario, seed, estimator)
+                .run_serial(&pool, &curve_cache)
+        };
+        let confident = run(EstimatorSpec::default());
+        let hesitant = run(EstimatorSpec::Oracle { confidence: 0.55 });
         if confident != hesitant {
             any_difference = true;
             break;
@@ -77,13 +90,13 @@ fn non_default_oracle_accuracy_changes_provisioning() {
 /// lowest-step-cost provisioning and still completes every policy.
 #[test]
 fn constant_spec_runs_every_registered_policy() {
-    let pool = MarketPool::standard(SimDur::from_days(1), 7);
+    let scenario = MarketScenario::from_days(1, 7);
+    let pool = scenario.build();
     let workload = tiny(Algorithm::LoR, 15);
     for name in Approach::registered_policies() {
         let approach = Approach::from_policy_name(name, 0.7).expect("registered");
-        let report = Campaign::new(approach, workload.clone(), 3)
-            .with_estimator(EstimatorSpec::Constant { p: 0.0 })
-            .run(&pool);
+        let report = request(approach, &workload, scenario, 3, EstimatorSpec::Constant { p: 0.0 })
+            .run_serial(&pool, &CurveCache::global());
         assert_eq!(report.predicted_finals.len(), 2, "{name}");
         assert!(report.jct.as_secs() > 0, "{name}");
     }

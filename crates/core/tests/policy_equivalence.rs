@@ -7,13 +7,13 @@
 //! * `SpotTuneTheta` runs through the transient drive; the tick-loop
 //!   reference (`DriveMode::Tick`, the seed implementation's literal
 //!   10-second loop) must produce bit-identical reports *and* trace-event
-//!   sequences, and the `Orchestrator` facade must agree with the
+//!   sequences, and the request-level trunk
+//!   (`CampaignRequest::run_with_estimator`) must agree with the
 //!   engine+policy composition it wraps.
 //!
 //! Together the cases below cover 130 campaigns (≥ 100 required).
 
 use rand::rngs::StdRng;
-use spottune_core::policy::SpotTuneTheta;
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
@@ -23,23 +23,30 @@ fn tiny(algorithm: Algorithm, steps: u64) -> Workload {
     Workload::custom(algorithm, steps, base.hp_grid()[..2].to_vec())
 }
 
+fn request(
+    approach: Approach,
+    workload: &Workload,
+    scenario: MarketScenario,
+    seed: u64,
+) -> CampaignRequest {
+    let estimator = EstimatorSpec::default();
+    CampaignRequest { id: seed, approach, workload: workload.clone(), scenario, seed, estimator }
+}
+
 /// 80 campaigns: 2 workloads × 2 kinds × 10 seeds × 2 market scenarios.
 #[test]
 fn single_spot_policy_is_bit_identical_to_closed_form() {
     let workloads = [tiny(Algorithm::LoR, 12), tiny(Algorithm::Gbtr, 10)];
-    let pools = [
-        MarketPool::standard(SimDur::from_days(1), 42),
-        MarketPool::standard(SimDur::from_days(1), 77),
-    ];
+    let scenarios = [MarketScenario::from_days(1, 42), MarketScenario::from_days(1, 77)];
+    let pools = scenarios.map(|scenario| (scenario, scenario.build()));
     let start = SpotTuneConfig::default().start;
     let mut campaigns = 0;
     for workload in &workloads {
         for kind in [SingleSpotKind::Cheapest, SingleSpotKind::Fastest] {
             for seed in 0..10u64 {
-                for pool in &pools {
-                    let via_policy =
-                        Campaign::new(Approach::SingleSpot(kind), workload.clone(), seed)
-                            .run(pool);
+                for (scenario, pool) in &pools {
+                    let via_policy = request(Approach::SingleSpot(kind), workload, *scenario, seed)
+                        .run_serial(pool, &CurveCache::global());
                     let reference = run_single_spot(kind, workload, pool, start, seed);
                     assert_eq!(
                         via_policy, reference,
@@ -57,14 +64,15 @@ fn single_spot_policy_is_bit_identical_to_closed_form() {
 #[test]
 fn on_demand_policy_is_bit_identical_to_closed_form() {
     let workloads = [tiny(Algorithm::LoR, 12), tiny(Algorithm::Gbtr, 10)];
-    let pool = MarketPool::standard(SimDur::from_days(1), 42);
+    let scenario = MarketScenario::from_days(1, 42);
+    let pool = scenario.build();
     let start = SpotTuneConfig::default().start;
     let mut campaigns = 0;
     for workload in &workloads {
         for kind in [SingleSpotKind::Cheapest, SingleSpotKind::Fastest] {
             for seed in 0..10u64 {
-                let via_policy =
-                    Campaign::new(Approach::OnDemand(kind), workload.clone(), seed).run(&pool);
+                let via_policy = request(Approach::OnDemand(kind), workload, scenario, seed)
+                    .run_serial(&pool, &CurveCache::global());
                 let reference = run_on_demand(kind, workload, &pool, start, seed);
                 assert_eq!(
                     via_policy, reference,
@@ -81,17 +89,19 @@ fn on_demand_policy_is_bit_identical_to_closed_form() {
 }
 
 /// 10 campaigns: the SpotTuneTheta policy through both drives, plus the
-/// Orchestrator facade, all bit-identical.
+/// request-level trunk (`mcnt` 3, as `Approach` configures it), all
+/// bit-identical.
 #[test]
 fn spottune_policy_matches_tick_reference_and_facade() {
-    let pool = MarketPool::standard(SimDur::from_days(10), 42);
+    let scenario = MarketScenario::from_days(10, 42);
+    let pool = scenario.build();
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let w = tiny(Algorithm::LoR, 30);
     let mut campaigns = 0;
     for theta in [0.5, 1.0] {
         for seed in 0..5u64 {
             let run_engine = |mode: DriveMode| {
-                let cfg = SpotTuneConfig::new(theta, 2).with_seed(seed).with_drive_mode(mode);
+                let cfg = SpotTuneConfig::new(theta, 3).with_seed(seed).with_drive_mode(mode);
                 let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, theta);
                 Engine::new(cfg, w.clone(), pool.clone()).run_traced(&mut policy)
             };
@@ -105,10 +115,10 @@ fn spottune_policy_matches_tick_reference_and_facade() {
                 tick_report, event_report,
                 "θ={theta} seed={seed}: reports diverged across drives"
             );
-            // The facade is exactly engine + SpotTuneTheta.
-            let cfg = SpotTuneConfig::new(theta, 2).with_seed(seed);
-            let facade = Orchestrator::new(cfg, w.clone(), pool.clone(), &oracle).run();
-            assert_eq!(facade, event_report, "θ={theta} seed={seed}: facade diverged");
+            // The request trunk is exactly engine + SpotTuneTheta.
+            let facade = request(Approach::SpotTune { theta }, &w, scenario, seed)
+                .run_with_estimator(&pool, &CurveCache::global(), &oracle);
+            assert_eq!(facade, event_report, "θ={theta} seed={seed}: request trunk diverged");
             campaigns += 1;
         }
     }
@@ -120,14 +130,15 @@ fn spottune_policy_matches_tick_reference_and_facade() {
 /// there is no legacy path to lock against — sanity only).
 #[test]
 fn new_policies_run_through_the_same_engine() {
-    let pool = MarketPool::standard(SimDur::from_days(1), 42);
+    let scenario = MarketScenario::from_days(1, 42);
+    let pool = scenario.build();
     let w = tiny(Algorithm::LoR, 15);
     for approach in [
         Approach::Hybrid { theta: 0.7, max_revocations: 1 },
         Approach::BidAware { theta: 0.7 },
         Approach::MigrationAware { theta: 0.7 },
     ] {
-        let report = Campaign::new(approach, w.clone(), 3).run(&pool);
+        let report = request(approach, &w, scenario, 3).run_serial(&pool, &CurveCache::global());
         assert_eq!(report.predicted_finals.len(), 2);
         assert!(report.jct.as_secs() > 0);
         assert!((report.gross - report.cost - report.refunded).abs() < 1e-9);

@@ -29,7 +29,8 @@ fn run_both(
         let cfg = SpotTuneConfig::new(theta, mcnt)
             .with_seed(seed)
             .with_drive_mode(mode);
-        Orchestrator::new(cfg, w.clone(), pool.clone(), &oracle).run_traced()
+        let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+        Engine::new(cfg, w.clone(), pool.clone()).run_traced(&mut policy)
     };
     (run(DriveMode::Tick), run(DriveMode::Event))
 }
@@ -77,7 +78,8 @@ fn coarse_poll_interval_still_matches() {
     let run = |mode: DriveMode| {
         let mut cfg = SpotTuneConfig::new(0.7, 1).with_seed(3).with_drive_mode(mode);
         cfg.poll_interval = SimDur::from_secs(60);
-        Orchestrator::new(cfg, w.clone(), pool.clone(), &oracle).run_traced()
+        let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+        Engine::new(cfg, w.clone(), pool.clone()).run_traced(&mut policy)
     };
     assert_identical(run(DriveMode::Tick), run(DriveMode::Event), "coarse poll");
 }

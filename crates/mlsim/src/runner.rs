@@ -214,11 +214,6 @@ impl CurveCache {
     }
 }
 
-/// Drops every curve memoized in the process-wide tier.
-pub fn clear_curve_cache() {
-    CurveCache::global().clear();
-}
-
 /// A lazily-advanced training run for one (workload, configuration) pair.
 ///
 /// `metric_at(k)` is memoized, so checkpoint/restore in the simulator never

@@ -86,7 +86,7 @@ use serde::{Deserialize, Serialize};
 use spottune_core::{BatchRunner, CampaignRequest, CampaignResponse};
 use spottune_market::{CacheStats, MarketScenario, PoolCache, SpineCache};
 use spottune_mlsim::CurveCache;
-use spottune_revpred::{PredictorCache, PredictorKind};
+use spottune_revpred::PredictorCache;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -228,6 +228,76 @@ pub struct ServerStats {
     pub drained: u64,
 }
 
+impl ServerStats {
+    /// Every counter as a flat `(name, value)` list — the core half of the
+    /// TCP stats frame, a tier's `hits` / `misses` flattened to
+    /// `<tier>_hits` / `<tier>_misses`. `self` is destructured without
+    /// `..`, so a field added to the struct and not listed here does not
+    /// compile.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
+        let ServerStats {
+            workers,
+            submitted,
+            completed,
+            pool_cache,
+            curve_cache,
+            predictor_cache,
+            spine_cache,
+            resident_pools,
+            resident_curves,
+            resident_predictors,
+            resident_spines,
+            spine_queries,
+            batched_groups,
+            kernel_invocations,
+            lane_slots,
+            lane_jobs,
+            revocations,
+            lost_steps,
+            migrations,
+            queue_capacity,
+            queue_depth,
+            peak_queue_depth,
+            rejected,
+            overloaded,
+            expired,
+            drained,
+        } = *self;
+        vec![
+            ("workers", workers as u64),
+            ("submitted", submitted),
+            ("completed", completed),
+            ("queue_capacity", queue_capacity),
+            ("queue_depth", queue_depth),
+            ("peak_queue_depth", peak_queue_depth),
+            ("rejected", rejected),
+            ("overloaded", overloaded),
+            ("expired", expired),
+            ("drained", drained),
+            ("revocations", revocations),
+            ("lost_steps", lost_steps),
+            ("migrations", migrations),
+            ("resident_pools", resident_pools as u64),
+            ("resident_curves", resident_curves as u64),
+            ("resident_predictors", resident_predictors as u64),
+            ("resident_spines", resident_spines as u64),
+            ("pool_hits", pool_cache.hits),
+            ("pool_misses", pool_cache.misses),
+            ("curve_hits", curve_cache.hits),
+            ("curve_misses", curve_cache.misses),
+            ("predictor_hits", predictor_cache.hits),
+            ("predictor_misses", predictor_cache.misses),
+            ("spine_hits", spine_cache.hits),
+            ("spine_misses", spine_cache.misses),
+            ("spine_queries", spine_queries),
+            ("batched_groups", batched_groups),
+            ("kernel_invocations", kernel_invocations),
+            ("lane_slots", lane_slots),
+            ("lane_jobs", lane_jobs),
+        ]
+    }
+}
+
 /// Typed refusal from the non-blocking submission path
 /// ([`CampaignServer::try_submit`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,11 +348,10 @@ pub enum WorkOutcome {
 /// workloads ride `Single`; `Group` runs the `run_cohort` the `sweep_*`
 /// workloads time, and `server.inproc_sweep_per_s` times `Group` itself.
 enum WorkPayload {
-    /// One campaign from [`CampaignServer::try_submit`], run on the scalar
-    /// [`Engine::run`](spottune_core::Engine::run) trunk
-    /// (`Campaign::run_with_estimator`) that
-    /// [`CampaignRequest::run_serial`] also runs on — so the suites'
-    /// reference is exercised by production traffic.
+    /// One campaign from [`CampaignServer::try_submit`], run by
+    /// [`CampaignRequest::run_with_tiers`] — the function
+    /// [`CampaignRequest::run_serial`] is, over this server's predictor
+    /// tier — so the suites' reference is exercised by production traffic.
     ///
     /// Not a cohort of one, on measurement: routing `try_submit` through a
     /// [`GroupSession`](spottune_core::GroupSession) held one spine per
@@ -451,23 +520,6 @@ impl CampaignServer {
         self.req_tx.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Submits one campaign; the returned receiver yields its single
-    /// response.
-    pub fn submit(&self, request: CampaignRequest) -> Receiver<CampaignResponse> {
-        self.submit_sweep(vec![request])
-    }
-
-    /// Validating variant of [`CampaignServer::submit`]: a malformed
-    /// request (NaN θ, empty grid, zero-length scenario, bad estimator
-    /// spec) is rejected here with its reason instead of being queued to
-    /// panic inside a worker.
-    pub fn submit_checked(
-        &self,
-        request: CampaignRequest,
-    ) -> Result<Receiver<CampaignResponse>, String> {
-        self.submit_sweep_checked(vec![request])
-    }
-
     /// Submits a sweep; the returned receiver streams one response per
     /// request in **completion** order and disconnects after the last one.
     ///
@@ -565,8 +617,9 @@ impl CampaignServer {
     }
 
     /// Validating variant of [`CampaignServer::submit_sweep`]: every
-    /// request is checked ([`CampaignRequest::validate`]) before anything
-    /// is queued, so a malformed submission yields an error naming the
+    /// request is checked ([`CampaignRequest::validate`] — NaN θ, empty
+    /// grid, zero-length scenario, bad estimator spec) before anything is
+    /// queued, so a malformed submission yields an error naming the
     /// offending request instead of a worker panic and a silently
     /// shortened response stream. All-or-nothing: one bad request rejects
     /// the whole sweep.
@@ -731,14 +784,7 @@ fn worker_loop(rx: &Receiver<WorkPayload>, shared: &WorkerShared) {
                 }
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let pool = shared.pools.get(request.scenario);
-                    let campaign = request.campaign();
-                    match PredictorKind::from_spec(&request.estimator) {
-                        Some(kind) => {
-                            let trained = shared.predictors.get(kind, request.scenario, &pool);
-                            campaign.run_with_estimator(&pool, &shared.curves, trained.as_ref())
-                        }
-                        None => campaign.run_with_cache(&pool, &shared.curves),
-                    }
+                    request.run_with_tiers(&pool, &shared.curves, &shared.predictors)
                 }));
                 match outcome {
                     // A client that dropped its receiver no longer wants
@@ -855,7 +901,7 @@ mod tests {
     #[test]
     fn single_submission_round_trips() {
         let server = CampaignServer::start(ServerConfig::with_workers(2));
-        let rx = server.submit(request(7));
+        let rx = server.submit_sweep(vec![request(7)]);
         let response = rx.recv().expect("one response");
         assert_eq!(response.id, 7);
         assert!(response.report.cost > 0.0);
@@ -896,9 +942,9 @@ mod tests {
     #[test]
     fn dropped_client_does_not_wedge_the_server() {
         let server = CampaignServer::start(ServerConfig::with_workers(1));
-        drop(server.submit(request(1)));
+        drop(server.submit_sweep(vec![request(1)]));
         // The next submission still answers.
-        let response = server.submit(request(2)).recv().expect("second response");
+        let response = server.submit_sweep(vec![request(2)]).recv().expect("second response");
         assert_eq!(response.id, 2);
         server.shutdown();
     }
@@ -930,6 +976,32 @@ mod tests {
         // Oracle campaigns never touch the tier.
         server.run_sweep(vec![request(9)]);
         assert_eq!(server.stats().predictor_cache.lookups(), 2);
+        server.shutdown();
+    }
+
+    /// The lone-request arm's learned branch: the same resolution function
+    /// as `run_serial`, over the server's predictor tier.
+    #[test]
+    fn lone_learned_requests_match_serial_and_train_once() {
+        let server = CampaignServer::start(ServerConfig::with_workers(1));
+        let mut requests: Vec<CampaignRequest> = (0..2).map(request).collect();
+        for req in &mut requests {
+            req.approach = Approach::SpotTune { theta: 0.7 };
+            req.estimator = EstimatorSpec::Logistic;
+        }
+        let pool = requests[0].scenario.build();
+        for req in &requests {
+            let rx = server.try_submit(req.clone(), None).expect("queued");
+            let want = req.run_serial(&pool, &CurveCache::new());
+            match rx.recv() {
+                Ok(WorkOutcome::Done(response)) => assert_eq!(response.report, want),
+                other => panic!("expected a response, got {other:?}"),
+            }
+        }
+        let stats = server.stats();
+        assert_eq!(stats.predictor_cache.misses, 1, "{:?}", stats.predictor_cache);
+        assert_eq!(stats.predictor_cache.hits, 1, "{:?}", stats.predictor_cache);
+        assert_eq!(stats.batched_groups, 0, "lone requests open no session");
         server.shutdown();
     }
 
@@ -985,19 +1057,20 @@ mod tests {
         // queued, nothing panicked.
         let mut poisoned = request(0);
         poisoned.approach = Approach::SpotTune { theta: f64::NAN };
-        let err = server.submit_checked(poisoned).err().expect("NaN theta must be rejected");
+        let err =
+            server.submit_sweep_checked(vec![poisoned]).err().expect("NaN theta must be rejected");
         assert!(err.contains("theta"), "{err}");
         // A zero-length scenario is just as undecodable-into-work.
         let mut empty = request(1);
         empty.scenario = MarketScenario::from_days(0, 1);
-        assert!(server.submit_checked(empty).is_err());
+        assert!(server.submit_sweep_checked(vec![empty]).is_err());
         // One bad request rejects the whole sweep before queueing any of it.
         let mut bad = request(3);
         bad.approach = Approach::SpotTune { theta: -0.5 };
         assert!(server.submit_sweep_checked(vec![request(2), bad]).is_err());
         assert_eq!(server.stats().submitted, 0, "rejected requests are never queued");
         // The same server still serves healthy submissions.
-        let rx = server.submit_checked(request(4)).expect("valid request passes");
+        let rx = server.submit_sweep_checked(vec![request(4)]).expect("valid request passes");
         assert_eq!(rx.recv().expect("one response").id, 4);
         server.shutdown();
     }

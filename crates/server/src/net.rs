@@ -47,7 +47,7 @@ use spottune_core::wire::{
 };
 use spottune_core::CampaignRequest;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -201,41 +201,17 @@ struct Inner {
 }
 
 impl Inner {
+    /// [`ServerStats::fields`](crate::ServerStats::fields) plus the four
+    /// front-end counters.
     fn stats_frame(&self) -> String {
-        let s = self.core.stats();
-        wire::encode_stats_frame(&[
-            ("workers", s.workers as u64),
-            ("submitted", s.submitted),
-            ("completed", s.completed),
-            ("queue_capacity", s.queue_capacity),
-            ("queue_depth", s.queue_depth),
-            ("peak_queue_depth", s.peak_queue_depth),
-            ("rejected", s.rejected),
-            ("overloaded", s.overloaded),
-            ("expired", s.expired),
-            ("drained", s.drained),
-            ("revocations", s.revocations),
-            ("lost_steps", s.lost_steps),
-            ("migrations", s.migrations),
-            ("resident_pools", s.resident_pools as u64),
-            ("resident_curves", s.resident_curves as u64),
-            ("resident_predictors", s.resident_predictors as u64),
-            ("resident_spines", s.resident_spines as u64),
-            ("pool_hits", s.pool_cache.hits),
-            ("pool_misses", s.pool_cache.misses),
-            ("curve_hits", s.curve_cache.hits),
-            ("curve_misses", s.curve_cache.misses),
-            ("predictor_hits", s.predictor_cache.hits),
-            ("predictor_misses", s.predictor_cache.misses),
-            ("spine_hits", s.spine_cache.hits),
-            ("spine_misses", s.spine_cache.misses),
-            ("spine_queries", s.spine_queries),
-            ("batched_groups", s.batched_groups),
+        let mut fields = self.core.stats().fields();
+        fields.extend([
             ("connections", self.counters.connections.load(Ordering::Relaxed)),
             ("connections_active", self.counters.connections_active.load(Ordering::Relaxed)),
             ("throttled", self.counters.throttled.load(Ordering::Relaxed)),
             ("malformed_frames", self.counters.malformed.load(Ordering::Relaxed)),
-        ])
+        ]);
+        wire::encode_stats_frame(&fields)
     }
 
     /// Flips the draining flag and nudges the accept loop awake with a
@@ -410,14 +386,32 @@ fn reader_loop(
 ) {
     let mut bucket = TokenBucket::new(&inner.admission);
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // `take` bounds what one peer-controlled line may buffer.
+        match (&mut reader).take(wire::MAX_FRAME_BYTES).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        let text = line.trim();
+        if line.len() as u64 == wire::MAX_FRAME_BYTES && !line.ends_with(b"\n") {
+            // Oversize: one anonymous reply, drop the rest of the line, and
+            // the connection keeps serving.
+            inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            writer.send_error(
+                None,
+                ErrorKind::Malformed,
+                format!("frame exceeds {} bytes", wire::MAX_FRAME_BYTES),
+            );
+            if reader.skip_until(b'\n').is_err() {
+                return;
+            }
+            continue;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let text = text.trim();
         if text.is_empty() {
             continue;
         }
@@ -577,5 +571,59 @@ fn responder_loop(feed: &Receiver<(u64, Receiver<WorkOutcome>)>, writer: &Shared
                 "campaign aborted without a response",
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spottune_core::wire::ServerFrame;
+    use spottune_core::Approach;
+    use spottune_market::{EstimatorSpec, MarketScenario};
+    use spottune_mlsim::{Algorithm, Workload};
+
+    /// The frame is [`ServerStats::fields`](crate::ServerStats::fields)
+    /// plus the front-end counters — read over a real socket after a sweep
+    /// on the wrapped server, so the lane counters are live.
+    #[test]
+    fn stats_frame_carries_every_server_stat_and_the_front_end_counters() {
+        let config =
+            NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
+        let net = NetServer::bind("127.0.0.1:0", config).expect("bind ephemeral");
+        let base = Workload::benchmark(Algorithm::LoR);
+        let sweep = (0..2)
+            .map(|id| CampaignRequest {
+                id,
+                approach: Approach::SpotTune { theta: 0.7 },
+                workload: Workload::custom(Algorithm::LoR, 25, base.hp_grid()[..2].to_vec()),
+                scenario: MarketScenario::from_days(1, 5),
+                seed: id,
+                estimator: EstimatorSpec::default(),
+            })
+            .collect();
+        assert_eq!(net.inner.core.run_sweep(sweep).len(), 2);
+        let mut want: Vec<&str> =
+            net.inner.core.stats().fields().into_iter().map(|(name, _)| name).collect();
+        want.extend(["connections", "connections_active", "throttled", "malformed_frames"]);
+
+        let (addr, handle) = (net.local_addr(), net.handle());
+        let server = std::thread::spawn(move || net.run());
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(format!("{}\n", wire::encode_stats_request()).as_bytes()).expect("send");
+        let mut line = String::new();
+        BufReader::new(&stream).read_line(&mut line).expect("stats frame");
+        let ServerFrame::Stats(fields) = wire::decode_server_frame(line.trim()).expect("decodes")
+        else {
+            panic!("expected a stats frame, got {line}");
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, want);
+        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
+        assert!(get("kernel_invocations") > Some(0), "{fields:?}");
+        assert!(get("lane_jobs") <= get("lane_slots") && get("lane_jobs") > Some(0), "{fields:?}");
+        assert_eq!(get("connections_active"), Some(1));
+
+        handle.shutdown();
+        server.join().expect("server thread must not panic").expect("clean run");
     }
 }

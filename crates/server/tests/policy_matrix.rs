@@ -131,7 +131,7 @@ fn every_policy_sweeps_under_a_learned_predictor() {
 
 #[test]
 fn every_registered_estimator_sweeps_through_the_server() {
-    // Registry-driven (spotlint rule R1): iterating
+    // Registry-driven: iterating
     // `registered_estimators()` instead of a hand-kept list means a newly
     // registered kind fails here until the matrix genuinely covers it.
     let workload = tiny_workload();

@@ -5,9 +5,9 @@
 //! [`CampaignRequest::run_serial`], and a graceful drain flushes every
 //! pending response before the sockets close.
 //!
-//! Spotlint's R1 coverage check cross-references
-//! [`wire::registered_error_kinds`] against this suite: a new error kind
-//! without a wire-level test fails the lint gate.
+//! `the_suite_covers_the_whole_error_kind_registry` pins
+//! [`wire::registered_error_kinds`] to the kinds provoked here: a new
+//! error kind without a wire-level test fails this suite.
 
 use spottune_core::prelude::*;
 use spottune_core::wire::{self, ErrorKind, ServerFrame};
@@ -232,13 +232,60 @@ fn admission_flood_is_throttled_not_queued() {
 }
 
 /// The two tests above, between them, put every registered kind on the
-/// wire; this is the registry-driven closure spotlint's R1 check leans
-/// on. Six kinds registered, six kinds exercised.
+/// wire; this closes the loop against the registry. Six kinds registered,
+/// six kinds exercised.
 #[test]
 fn the_suite_covers_the_whole_error_kind_registry() {
     let exercised =
         ["overloaded", "throttled", "deadline-exceeded", "malformed", "rejected", "draining"];
     assert_eq!(wire::registered_error_kinds().to_vec(), exercised.to_vec());
+}
+
+/// A line past [`wire::MAX_FRAME_BYTES`] is never buffered whole: it gets
+/// exactly one anonymous `malformed` frame, the rest of it is discarded
+/// through its newline, and the same connection goes on serving.
+#[test]
+fn oversize_line_gets_one_malformed_frame_and_the_connection_keeps_serving() {
+    let config = NetServerConfig {
+        server: ServerConfig::with_workers(1),
+        admission: AdmissionConfig::default(),
+    };
+    let (addr, handle, server) = serve(config);
+    let mut conn = RawConn::open(addr);
+    let malformed_frames = |conn: &mut RawConn| {
+        conn.send(&wire::encode_stats_request());
+        match conn.recv() {
+            ServerFrame::Stats(fields) => {
+                fields.iter().find(|(k, _)| k == "malformed_frames").map(|&(_, v)| v)
+            }
+            other => panic!("expected a stats frame, got {other:?}"),
+        }
+    };
+    let before = malformed_frames(&mut conn).expect("counter on the wire");
+
+    conn.send(&"x".repeat(2 * wire::MAX_FRAME_BYTES as usize));
+    match conn.recv() {
+        ServerFrame::Error(e) => {
+            assert_eq!((e.kind, e.id), (ErrorKind::Malformed, None));
+            assert!(e.message.contains("exceeds"), "refused by the cap, not the decoder: {e:?}");
+        }
+        other => panic!("expected a malformed frame, got {other:?}"),
+    }
+    // Strict request/reply from here: a second reply to the long line
+    // would surface as the answer to one of these.
+    let req = request(1, 20, 3);
+    conn.send(&wire::encode_request_frame(&req, None));
+    match conn.recv() {
+        ServerFrame::Response(response) => {
+            assert_eq!((response.id, &response.report), (1, &serial_reference(&req)));
+        }
+        other => panic!("expected the campaign's response, got {other:?}"),
+    }
+    assert_eq!(malformed_frames(&mut conn), Some(before + 1));
+
+    handle.shutdown();
+    assert!(conn.read_to_eof().is_empty(), "one reply per line, nothing stray");
+    server.join().expect("server thread must not panic").expect("clean run");
 }
 
 /// Chaos sweep: three well-behaved clients run campaigns while one

@@ -22,8 +22,7 @@ pub enum Tok {
     /// Float literal, suffix included (`0.0`, `1e-9`, `2.5f32`).
     Float(String),
     /// String, raw-string or byte-string literal, carrying the raw text
-    /// between the quotes (escapes unprocessed — enough for registry-name
-    /// extraction, which never uses escapes).
+    /// between the quotes (escapes unprocessed; no rule reads the text).
     Str(String),
     /// Char or byte-char literal (content dropped).
     Char,

@@ -1,7 +1,7 @@
 //! # spotlint
 //!
 //! The workspace's static-analysis gate: a dependency-free, workspace-aware
-//! lint pass enforcing the two invariants every PR here leans on —
+//! lint pass enforcing the three invariants every PR here leans on —
 //!
 //! 1. **Determinism** — no wall-clock/entropy reads (D1), no hash-order
 //!    containers (D2) in the determinism-critical crates
@@ -9,11 +9,8 @@
 //!    equality in `core`/`earlycurve` (D3). The bit-identical equivalence
 //!    suites (tick≡event, policy/estimator defaults, fault replay) only
 //!    mean anything if these hold.
-//! 2. **Coverage** — the panic-free request path (P1) and the
-//!    registry/CI/test-suite cross-check (R1): every registered policy and
-//!    estimator stays in the CI matrix and the equivalence/storm suites,
-//!    including the batch-equivalence suite every sweep's cohort path is
-//!    locked by.
+//! 2. **Robustness** — no panic reachable from untrusted input on the
+//!    request path (P1).
 //! 3. **Confinement** — `unsafe` stays inside the audited kernel modules
 //!    (U1); everywhere else it needs a `spotlint.allow` audit.
 //!
@@ -24,10 +21,8 @@
 
 pub mod allow;
 pub mod lexer;
-pub mod registry;
 pub mod rules;
 
-use registry::{RegistryInputs, CI_PATH, ESTIMATOR_REGISTRY_PATH, POLICY_REGISTRY_PATH, SUITE_PATHS};
 use rules::{check_d1, check_d2, check_d3, check_p1, check_u1, FileCtx, Finding};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -135,8 +130,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         findings.extend(check_p1(&ctx));
         files_scanned += 1;
     }
-    // R1 cross-check.
-    findings.extend(registry::check_r1(&registry_inputs(root)?));
 
     // Stable output order: file, line, rule; collapse repeats of the same
     // finding on one line (e.g. two `HashMap` tokens in one declaration).
@@ -156,27 +149,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let (kept, suppressed, stale_allow) = allow::apply(findings, &entries);
 
     Ok(Report { findings: kept, suppressed, stale_allow, malformed_allow, files_scanned })
-}
-
-/// Reads the R1 inputs from disk.
-pub fn registry_inputs(root: &Path) -> Result<RegistryInputs, String> {
-    let mut suites = Vec::new();
-    for rel in SUITE_PATHS {
-        suites.push((rel.to_string(), read(&root.join(rel))?));
-    }
-    let mut tcp_suites = Vec::new();
-    for rel in registry::TCP_SUITE_PATHS {
-        tcp_suites.push((rel.to_string(), read(&root.join(rel))?));
-    }
-    Ok(RegistryInputs {
-        policy_src: read(&root.join(POLICY_REGISTRY_PATH))?,
-        estimator_src: read(&root.join(ESTIMATOR_REGISTRY_PATH))?,
-        wire_src: read(&root.join(registry::WIRE_REGISTRY_PATH))?,
-        ci_yaml: read(&root.join(CI_PATH))?,
-        suites,
-        tcp_suites,
-        batch_suite: read(&root.join(registry::BATCH_SUITE_PATH))?,
-    })
 }
 
 /// Locates the workspace root from an arbitrary start directory by walking

@@ -9,7 +9,7 @@ use crate::lexer::{lex, test_regions, Spanned, Tok};
 /// One lint finding, machine-readable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule ID (`D1`, `D2`, `D3`, `P1`, `R1`, `U1`).
+    /// Stable rule ID (`D1`, `D2`, `D3`, `P1`, `U1`).
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub file: String,
@@ -109,45 +109,11 @@ path must degrade per-request, never per-process.
 
 Instead: `?` with a typed error on the decode side; validation at the
 submission boundary (`CampaignRequest::validate`,
-`CampaignServer::submit_checked`) on the server side. Deliberate,
+`CampaignServer::submit_sweep_checked`) on the server side. Deliberate,
 documented panics (propagating a worker panic at shutdown, resource
 exhaustion at startup) are audited via `spotlint.allow`.
 
 Test code is exempt.",
-    },
-    RuleInfo {
-        id: "R1",
-        summary: "registry/CI/test-suite coverage cross-check",
-        explain: "\
-R1 — every registered policy and estimator stays covered.
-
-The policy registry (`Approach::registered_policies`) and the estimator
-registry (`EstimatorSpec::registered_estimators`) are the workspace's
-source of truth for what the engine can run. R1 parses both registries
-from source and cross-checks:
-
-  1. every registered policy is an entry of the `policy:` matrix of the
-     `policy-matrix` job in `.github/workflows/ci.yml`;
-  2. every registered estimator kind leads an entry of the `estimator:`
-     matrix (`oracle(0.9)` covers `oracle`);
-  3. every matrix entry resolves to a registered name (catches renames);
-  4. every registered name is exercised by the equivalence/storm-survival
-     suites — a suite that iterates `registered_policies()` /
-     `registered_estimators()` covers the whole registry by construction,
-     which is the preferred pattern;
-  5. every registered policy is locked batched≡serial by the
-     batch-equivalence suite (`crates/core/tests/batch_equivalence.rs`).
-     Every sweep runs in SoA cohorts through the lane kernel — there is
-     no other batched path — so this one lock covers where a policy
-     actually runs;
-  6. every wire error-frame kind (`registered_error_kinds()` in
-     `crates/core/src/wire.rs`) is provoked by a TCP suite
-     (`tcp_chaos.rs` / `tcp_soak.rs`) — a frame kind nothing can trigger
-     over a real socket is a frame kind clients cannot trust.
-
-Registering a new policy, estimator, or error-frame kind without
-extending the CI matrix and the suites fails the lint, so coverage can
-never silently rot.",
     },
     RuleInfo {
         id: "U1",

@@ -1,5 +1,6 @@
 //! A full HPT cost study: SpotTune vs the Single-Spot baselines on two
-//! benchmark workloads — a miniature of the paper's Fig. 7.
+//! benchmark workloads — a miniature of the paper's Fig. 7, submitted as
+//! one batch of [`CampaignRequest`]s.
 //!
 //! ```text
 //! cargo run --release --example hpt_campaign
@@ -8,21 +9,28 @@
 use spottune::prelude::*;
 
 fn main() {
-    let pool = MarketPool::standard(SimDur::from_days(12), 42);
+    let scenario = MarketScenario::from_days(12, 42);
+    // One runner: both workloads share its pool, spine and curve tiers.
+    let runner = BatchRunner::new();
 
     for algorithm in [Algorithm::Svm, Algorithm::Gbtr] {
         let workload = Workload::benchmark(algorithm);
         println!("\n==== {} ====", workload.algorithm());
 
-        let oracle = OracleEstimator::new(pool.clone(), 0.9);
-        let mut reports = Vec::new();
-        for theta in [0.7, 1.0] {
-            let cfg = SpotTuneConfig::new(theta, 3).with_seed(42);
-            reports.push(Orchestrator::new(cfg, workload.clone(), pool.clone(), &oracle).run());
-        }
-        for kind in [SingleSpotKind::Cheapest, SingleSpotKind::Fastest] {
-            reports.push(run_single_spot(kind, &workload, &pool, SpotTuneConfig::default().start, 42));
-        }
+        // SpotTune at θ = 0.7 and 1.0, then the two Single-Spot baselines.
+        let requests: Vec<CampaignRequest> = Approach::fig7_set()
+            .into_iter()
+            .zip(0..)
+            .map(|(approach, id)| CampaignRequest {
+                id,
+                approach,
+                workload: workload.clone(),
+                scenario,
+                seed: 42,
+                estimator: EstimatorSpec::default(),
+            })
+            .collect();
+        let reports = runner.run_many(&requests);
 
         let reference = reports[0].clone();
         for r in &reports {

@@ -4,16 +4,18 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Builds the standard six-market spot pool, takes the logistic-regression
-//! benchmark (16 hyper-parameter configurations), and lets SpotTune tune it
-//! with early shutdown at θ = 0.7, printing the cost/JCT report and the
-//! selected configurations.
+//! Describes one campaign as a [`CampaignRequest`] — the same value a
+//! client sends to `spottune-serve` — over the standard six-market spot
+//! pool: the logistic-regression benchmark (16 hyper-parameter
+//! configurations) tuned by SpotTune with early shutdown at θ = 0.7. Runs
+//! it in process and prints the cost/JCT report and the selected
+//! configurations.
 
 use spottune::prelude::*;
 
 fn main() {
     // Six spot markets (Table III instances) with 12 days of price history.
-    let pool = MarketPool::standard(SimDur::from_days(12), 42);
+    let scenario = MarketScenario::from_days(12, 42);
 
     // The workload: LoR with its Table-II grid of 16 configurations.
     let workload = Workload::benchmark(Algorithm::LoR);
@@ -24,10 +26,18 @@ fn main() {
         workload.max_trial_steps()
     );
 
-    // SpotTune with the paper's default θ = 0.7, keeping the top 3 models.
-    let config = SpotTuneConfig::new(0.7, 3).with_seed(42);
-    let oracle = OracleEstimator::new(pool.clone(), 0.9);
-    let report = Orchestrator::new(config, workload.clone(), pool, &oracle).run();
+    // SpotTune with the paper's default θ = 0.7 (the top 3 models continue
+    // to full training), provisioning on the default `oracle(0.9)`
+    // revocation estimator.
+    let request = CampaignRequest {
+        id: 0,
+        approach: Approach::SpotTune { theta: 0.7 },
+        workload: workload.clone(),
+        scenario,
+        seed: 42,
+        estimator: EstimatorSpec::default(),
+    };
+    let report = request.run_serial(&scenario.build(), &CurveCache::global());
 
     println!("\n{}", report.summary());
     println!("\nselected configurations (best predicted first):");

@@ -16,7 +16,8 @@
 //! * [`mlsim`] — benchmark workloads, real trainers and the performance model;
 //! * [`earlycurve`] — staged curve fitting and the SLAQ baseline;
 //! * [`revpred`] — the RevPred revocation predictor and its baselines;
-//! * [`core`] — the SpotTune orchestrator, baselines, campaigns and reports;
+//! * [`core`] — the campaign engine, provisioning policies, campaign
+//!   requests, the batched sweep runner and reports;
 //! * [`server`] — the long-running sharded multi-campaign service.
 //!
 //! ## Example
@@ -24,12 +25,18 @@
 //! ```
 //! use spottune::prelude::*;
 //!
-//! let pool = MarketPool::standard(SimDur::from_days(3), 42);
-//! let oracle = OracleEstimator::new(pool.clone(), 0.9);
 //! let base = Workload::benchmark(Algorithm::LoR);
-//! // A tiny slice of the benchmark keeps the doctest fast.
-//! let workload = Workload::custom(Algorithm::LoR, 20, base.hp_grid()[..2].to_vec());
-//! let report = Orchestrator::new(SpotTuneConfig::new(0.5, 1), workload, pool, &oracle).run();
+//! // One campaign, described the way a client describes it to the server.
+//! let request = CampaignRequest {
+//!     id: 0,
+//!     approach: Approach::SpotTune { theta: 0.5 },
+//!     // A tiny slice of the benchmark keeps the doctest fast.
+//!     workload: Workload::custom(Algorithm::LoR, 20, base.hp_grid()[..2].to_vec()),
+//!     scenario: MarketScenario::from_days(3, 42),
+//!     seed: 0,
+//!     estimator: EstimatorSpec::default(),
+//! };
+//! let report = request.run_serial(&request.scenario.build(), &CurveCache::global());
 //! assert_eq!(report.predicted_finals.len(), 2);
 //! ```
 

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: full SpotTune campaigns against the
 //! simulated cloud, exercising the whole stack (markets → provider →
-//! orchestrator → EarlyCurve selection → reports).
+//! engine → EarlyCurve selection → reports).
 
 use spottune::prelude::*;
 
@@ -13,15 +13,23 @@ fn pool() -> MarketPool {
     MarketPool::standard(SimDur::from_days(10), 42)
 }
 
+/// The paper's SpotTune (Algorithm 1): an engine under [`SpotTuneTheta`].
+fn spottune(
+    cfg: SpotTuneConfig,
+    w: &Workload,
+    pool: &MarketPool,
+    estimator: &dyn RevocationEstimator,
+) -> HptReport {
+    let mut policy = SpotTuneTheta::new(estimator, cfg.delta_range, cfg.theta);
+    Engine::new(cfg, w.clone(), pool.clone()).run(&mut policy)
+}
+
 #[test]
 fn campaign_is_deterministic() {
     let pool = pool();
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let w = small(Algorithm::LoR, 50, 4);
-    let run = || {
-        let cfg = SpotTuneConfig::new(0.6, 2).with_seed(11);
-        Orchestrator::new(cfg, w.clone(), pool.clone(), &oracle).run()
-    };
+    let run = || spottune(SpotTuneConfig::new(0.6, 2).with_seed(11), &w, &pool, &oracle);
     let a = run();
     let b = run();
     assert_eq!(a, b, "same seed must reproduce the identical report");
@@ -32,8 +40,7 @@ fn billing_identity_holds_across_approaches() {
     let pool = pool();
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let w = small(Algorithm::Svm, 60, 4);
-    let st = Orchestrator::new(SpotTuneConfig::new(0.7, 2).with_seed(3), w.clone(), pool.clone(), &oracle)
-        .run();
+    let st = spottune(SpotTuneConfig::new(0.7, 2).with_seed(3), &w, &pool, &oracle);
     assert!((st.gross - st.cost - st.refunded).abs() < 1e-9);
     for kind in [SingleSpotKind::Cheapest, SingleSpotKind::Fastest] {
         let b = run_single_spot(kind, &w, &pool, SimTime::from_hours(2), 3);
@@ -52,8 +59,7 @@ fn spottune_beats_baselines_on_cost() {
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let w = small(Algorithm::Gbtr, 40, 6);
     let start = SpotTuneConfig::default().start;
-    let st = Orchestrator::new(SpotTuneConfig::new(0.7, 2).with_seed(5), w.clone(), pool.clone(), &oracle)
-        .run();
+    let st = spottune(SpotTuneConfig::new(0.7, 2).with_seed(5), &w, &pool, &oracle);
     let cheap = run_single_spot(SingleSpotKind::Cheapest, &w, &pool, start, 5);
     let fast = run_single_spot(SingleSpotKind::Fastest, &w, &pool, start, 5);
     assert!(
@@ -72,8 +78,7 @@ fn theta_one_selection_is_exact() {
     let pool = pool();
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let w = small(Algorithm::ResNet, 60, 6);
-    let report =
-        Orchestrator::new(SpotTuneConfig::new(1.0, 3).with_seed(8), w, pool, &oracle).run();
+    let report = spottune(SpotTuneConfig::new(1.0, 3).with_seed(8), &w, &pool, &oracle);
     // Without early shutdown, predictions are observed finals: top-3 must
     // contain the true best.
     assert!(report.top3_hit());
@@ -86,9 +91,9 @@ fn timeline_protocol_is_well_formed() {
     let pool = pool();
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let w = small(Algorithm::LoR, 60, 3);
-    let (report, events) =
-        Orchestrator::new(SpotTuneConfig::new(0.7, 1).with_seed(21), w, pool, &oracle)
-            .run_traced();
+    let cfg = SpotTuneConfig::new(0.7, 1).with_seed(21);
+    let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+    let (report, events) = Engine::new(cfg, w, pool).run_traced(&mut policy);
     let mut notified: Vec<usize> = Vec::new();
     let mut finished = std::collections::HashSet::new();
     for e in &events {
@@ -131,8 +136,7 @@ fn learned_estimator_plugs_into_orchestrator() {
         &cfg,
     );
     let w = small(Algorithm::LiR, 40, 2);
-    let report =
-        Orchestrator::new(SpotTuneConfig::new(0.7, 1).with_seed(4), w, pool, &set).run();
+    let report = spottune(SpotTuneConfig::new(0.7, 1).with_seed(4), &w, &pool, &set);
     assert_eq!(report.predicted_finals.len(), 2);
     assert!(report.cost >= 0.0);
 }

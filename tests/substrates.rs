@@ -96,13 +96,15 @@ fn continuation_accounting_is_consistent() {
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let base = Workload::benchmark(Algorithm::Svm);
     let w = Workload::custom(Algorithm::Svm, 60, base.hp_grid()[..4].to_vec());
-    let partial =
-        Orchestrator::new(SpotTuneConfig::new(0.5, 2).with_seed(3), w.clone(), pool.clone(), &oracle)
-            .run();
+    let run = |theta: f64| {
+        let cfg = SpotTuneConfig::new(theta, 2).with_seed(3);
+        let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+        Engine::new(cfg, w.clone(), pool.clone()).run(&mut policy)
+    };
+    let partial = run(0.5);
     assert!(partial.cost <= partial.cost_with_continuation + 1e-9);
     assert!(partial.jct <= partial.jct_with_continuation);
-    let full =
-        Orchestrator::new(SpotTuneConfig::new(1.0, 2).with_seed(3), w, pool, &oracle).run();
+    let full = run(1.0);
     assert!((full.cost - full.cost_with_continuation).abs() < 1e-12);
     assert_eq!(full.jct, full.jct_with_continuation);
 }
