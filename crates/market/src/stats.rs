@@ -42,20 +42,46 @@ pub fn cov(xs: &[f64]) -> f64 {
 ///
 /// Panics if `trim` is not in `[0, 0.5)`.
 pub fn trimmed_mean(xs: &[f64], trim: f64) -> f64 {
-    assert!((0.0..0.5).contains(&trim), "trim fraction must be in [0, 0.5)");
-    if xs.is_empty() {
-        return 0.0;
-    }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must be comparable"));
-    let n = sorted.len();
-    let lo = (trim * n as f64).floor() as usize;
-    let hi = ((1.0 - trim) * n as f64).ceil() as usize;
-    let hi = hi.min(n);
-    if lo >= hi {
-        return mean(&sorted);
+    mean_of_kept(0, &sorted, trim)
+}
+
+/// [`trimmed_mean`] of `zeros` copies of `+0.0` plus the strictly positive
+/// `moves`, without allocating: only `moves` is sorted, in place. The
+/// zeros are exactly the sorted sequence's prefix, and the result is
+/// bit-identical to `trimmed_mean` over the materialized sequence. A
+/// step-function price trace's per-minute deltas are mostly zero, which
+/// is what makes skipping them worth it.
+///
+/// # Panics
+///
+/// Panics if `trim` is not in `[0, 0.5)` or a move is not strictly
+/// positive.
+pub fn trimmed_mean_with_zeros(zeros: usize, moves: &mut [f64], trim: f64) -> f64 {
+    assert!(moves.iter().all(|&x| x > 0.0), "moves must be strictly positive");
+    // Positive floats order like their bit patterns, and integer keys sort
+    // without the comparison closure's branches.
+    moves.sort_unstable_by_key(|x| x.to_bits());
+    mean_of_kept(zeros, moves, trim)
+}
+
+/// Mean of the index range a `trim` keeps out of `zeros` copies of `+0.0`
+/// followed by the ascending `sorted`. The in-order sum folds from `-0.0`
+/// as `Iterator::sum` does; leading `+0.0` terms only turn that into
+/// `+0.0`, so they are counted rather than added.
+fn mean_of_kept(zeros: usize, sorted: &[f64], trim: f64) -> f64 {
+    assert!((0.0..0.5).contains(&trim), "trim fraction must be in [0, 0.5)");
+    let n = zeros + sorted.len();
+    if n == 0 {
+        return 0.0;
     }
-    mean(&sorted[lo..hi])
+    let lo = (trim * n as f64).floor() as usize;
+    let hi = (((1.0 - trim) * n as f64).ceil() as usize).min(n);
+    let (lo, hi) = if lo >= hi { (0, n) } else { (lo, hi) };
+    let start = if lo < zeros.min(hi) { 0.0 } else { -0.0 };
+    let kept = &sorted[lo.saturating_sub(zeros)..hi.saturating_sub(zeros)];
+    kept.iter().fold(start, |acc, &x| acc + x) / (hi - lo) as f64
 }
 
 /// Simple exponentially weighted moving average state.
@@ -121,6 +147,56 @@ mod tests {
         // Degenerate cases fall back gracefully.
         assert_eq!(trimmed_mean(&[], 0.2), 0.0);
         assert_eq!(trimmed_mean(&[5.0], 0.2), 5.0);
+    }
+
+    /// The definition the allocation-free versions are locked against:
+    /// sort a copy, average the surviving index range.
+    fn trimmed_mean_literal(xs: &[f64], trim: f64) -> f64 {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
+        let n = sorted.len();
+        let lo = (trim * n as f64).floor() as usize;
+        let hi = (((1.0 - trim) * n as f64).ceil() as usize).min(n);
+        if lo >= hi {
+            return mean(&sorted);
+        }
+        mean(&sorted[lo..hi])
+    }
+
+    #[test]
+    fn zero_skipping_trimmed_mean_keeps_the_bits() {
+        // Deterministic pseudo-random magnitudes, mostly zero like a
+        // step-function trace's deltas; every length up to past an hour of
+        // minutes, several trims.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for n in 0..=70usize {
+            for zero_share in [0u64, 3, 9, 10] {
+                let xs: Vec<f64> = (0..n)
+                    .map(|_| if next() % 10 < zero_share { 0.0 } else { next() as f64 / 1e9 })
+                    .collect();
+                for trim in [0.0, 0.2, 0.35, 0.49] {
+                    let want = trimmed_mean_literal(&xs, trim).to_bits();
+                    assert_eq!(trimmed_mean(&xs, trim).to_bits(), want, "n={n} trim={trim}");
+                    let mut rest: Vec<f64> = xs.iter().copied().filter(|&x| x != 0.0).collect();
+                    let zeros = n - rest.len();
+                    assert_eq!(
+                        trimmed_mean_with_zeros(zeros, &mut rest, trim).to_bits(),
+                        want,
+                        "n={n} zeros={zeros} trim={trim}"
+                    );
+                }
+            }
+        }
+        // Signed input goes through `trimmed_mean` (no zero prefix claimed).
+        let signed = [3.0, -1.0, 0.0, -0.0, 2.5, -7.0, 0.0];
+        assert_eq!(
+            trimmed_mean(&signed, 0.2).to_bits(),
+            trimmed_mean_literal(&signed, 0.2).to_bits()
+        );
     }
 
     #[test]

@@ -191,26 +191,35 @@ impl TraceGenerator {
 
         let mut published = (cfg.base_fraction * od).clamp(floor, cap);
         let mut out = Vec::with_capacity(minutes);
+        // Both seasonal terms are functions of the hour of day and the day
+        // of week, so they are recomputed on the hour, not every minute.
+        let mut target = base;
+        let mut spike_prob = 0.0f64;
         for m in 0..minutes {
-            let t = SimTime::from_mins(m as u64);
-            // Seasonal drift of the mean.
-            let hour = t.hour_of_day() as f64;
-            let season = cfg.diurnal_amp * ((hour - 14.0) / 24.0 * std::f64::consts::TAU).cos()
-                + if t.is_workday() { cfg.workday_boost } else { 0.0 };
-            let target = base + season;
+            if m % 60 == 0 {
+                let t = SimTime::from_mins(m as u64);
+                // Seasonal drift of the mean.
+                let hour = t.hour_of_day() as f64;
+                let season = cfg.diurnal_amp
+                    * ((hour - 14.0) / 24.0 * std::f64::consts::TAU).cos()
+                    + if t.is_workday() { cfg.workday_boost } else { 0.0 };
+                target = base + season;
+                // Spike arrivals follow the demand cycle — bid wars
+                // concentrate in business hours on workdays — which is what
+                // makes the hour-of-day and workday features of the
+                // revocation predictors informative (§III.B engineered them
+                // for exactly this reason).
+                let demand = if t.is_workday() && (9..19).contains(&t.hour_of_day()) {
+                    2.5
+                } else {
+                    0.4
+                };
+                spike_prob = spike_prob_per_min * demand;
+            }
             // Mean-reverting walk in log space.
             latent += cfg.reversion * (target - latent) + cfg.sigma * normal(&mut rng);
-            // Spike arrivals: begin a slow ramp toward the peak. Arrivals
-            // follow the demand cycle — bid wars concentrate in business
-            // hours on workdays — which is what makes the hour-of-day and
-            // workday features of the revocation predictors informative
-            // (§III.B engineered them for exactly this reason).
-            let demand = if t.is_workday() && (9..19).contains(&t.hour_of_day()) {
-                2.5
-            } else {
-                0.4
-            };
-            if rng.random::<f64>() < spike_prob_per_min * demand {
+            // Spike arrival: begin a slow ramp toward the peak.
+            if rng.random::<f64>() < spike_prob {
                 let mult = rng.random_range(cfg.spike_mult.0..cfg.spike_mult.1);
                 spike_target = mult.ln();
                 let ramp = rng.random_range(cfg.spike_ramp_mins.0..cfg.spike_ramp_mins.1);
@@ -281,6 +290,87 @@ mod tests {
         assert_eq!(a, b);
         let c = g.generate(&r3(), SimDur::from_hours(6), 8);
         assert_ne!(a, c);
+    }
+
+    /// The generator as it was before the seasonal terms were hoisted to
+    /// once an hour: everything recomputed every minute.
+    fn generate_per_minute(
+        cfg: &TraceGenConfig,
+        instance: &InstanceType,
+        total: SimDur,
+        seed: u64,
+    ) -> Vec<f64> {
+        let minutes = (total.as_secs() / MINUTE).max(1) as usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let od = instance.on_demand_price();
+        let base = (cfg.base_fraction * od).ln();
+        let floor = cfg.floor_fraction * od;
+        let cap = cfg.cap_fraction * od;
+        let mut latent = base;
+        let (mut spike_level, mut spike_target) = (0.0f64, 0.0f64);
+        let (mut spike_ramp, mut spike_decay) = (0.0f64, 0.0f64);
+        let spike_prob_per_min = cfg.spikes_per_day / (24.0 * 60.0);
+        let mut published = (cfg.base_fraction * od).clamp(floor, cap);
+        let mut out = Vec::with_capacity(minutes);
+        for m in 0..minutes {
+            let t = SimTime::from_mins(m as u64);
+            let hour = t.hour_of_day() as f64;
+            let season = cfg.diurnal_amp * ((hour - 14.0) / 24.0 * std::f64::consts::TAU).cos()
+                + if t.is_workday() { cfg.workday_boost } else { 0.0 };
+            let target = base + season;
+            latent += cfg.reversion * (target - latent) + cfg.sigma * normal(&mut rng);
+            let demand = if t.is_workday() && (9..19).contains(&t.hour_of_day()) {
+                2.5
+            } else {
+                0.4
+            };
+            if rng.random::<f64>() < spike_prob_per_min * demand {
+                let mult = rng.random_range(cfg.spike_mult.0..cfg.spike_mult.1);
+                spike_target = mult.ln();
+                let ramp = rng.random_range(cfg.spike_ramp_mins.0..cfg.spike_ramp_mins.1);
+                spike_ramp = spike_target / ramp.max(1.0);
+                let half_life = rng.random_range(cfg.spike_decay_mins.0..cfg.spike_decay_mins.1);
+                spike_decay = (0.5f64).powf(1.0 / half_life);
+            }
+            if spike_target > 0.0 {
+                spike_level += spike_ramp;
+                if spike_level >= spike_target {
+                    spike_level = spike_target;
+                    spike_target = 0.0;
+                }
+            } else {
+                spike_level *= spike_decay;
+            }
+            let price = (latent + spike_level).exp().clamp(floor, cap);
+            if (price - published).abs() / published > cfg.change_threshold {
+                published = price;
+            }
+            out.push(published);
+        }
+        out
+    }
+
+    #[test]
+    fn hourly_seasonal_terms_leave_every_trace_bit_identical() {
+        let inst = r3();
+        for regime in [Regime::Stable, Regime::Volatile, Regime::Spiky, Regime::Diurnal] {
+            let g = TraceGenerator::preset(regime);
+            for seed in 0..8u64 {
+                for days in [2u64, 12] {
+                    let total = SimDur::from_days(days);
+                    let got = g.generate(&inst, total, seed);
+                    let want = generate_per_minute(g.config(), &inst, total, seed);
+                    assert_eq!(got.len_minutes(), want.len());
+                    for ((at, p), w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            p.to_bits(),
+                            w.to_bits(),
+                            "{regime:?} seed {seed} {days} d diverges at {at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

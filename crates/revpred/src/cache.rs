@@ -219,6 +219,30 @@ mod tests {
     }
 
     #[test]
+    fn racing_one_cold_key_trains_once() {
+        let cache = PredictorCache::new();
+        let scenario = MarketScenario::from_days(1, 5);
+        let pool = scenario.build();
+        let start = std::sync::Barrier::new(8);
+        let sets: Vec<Arc<MarketPredictorSet>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache.get(PredictorKind::Logistic, scenario, &pool)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer")).collect()
+        });
+        // One thread inserted the entry and trained; the other seven found
+        // it and waited on (or read) the same cell.
+        assert_eq!(cache.stats(), CacheStats { hits: 7, misses: 1, evictions: 0 });
+        assert!(sets.iter().all(|set| Arc::ptr_eq(set, &sets[0])));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn distinct_keys_train_distinct_sets() {
         let cache = PredictorCache::new();
         let near = MarketScenario::from_days(1, 7);

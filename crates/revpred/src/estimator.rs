@@ -2,11 +2,13 @@
 //! [`RevocationEstimator`] interface ("for each individual spot market, an
 //! independent model is trained offline", §III.B).
 
-use crate::dataset::{build_dataset, build_input, DeltaPolicy, Sample};
+use crate::dataset::{build_dataset, build_input, DeltaPolicy, Sample, SlicedDataset};
 use crate::logistic::LogisticModel;
 use crate::model::{ProbModel, RevPredNet, TrainConfig};
 use crate::tributary::TributaryNet;
-use spottune_market::{EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator, SimDur, SimTime};
+use spottune_market::{
+    EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator, SimDur, SimTime, SpotMarket,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -145,35 +147,43 @@ impl MarketPredictorSet {
         stride: SimDur,
         cfg: &TrainConfig,
     ) -> Self {
-        let mut models: BTreeMap<String, Box<dyn ProbModel>> = BTreeMap::new();
-        for market in pool.iter() {
-            let samples = build_dataset(
-                market,
-                train_from,
-                train_to,
-                stride,
-                kind.delta_policy(),
-                cfg.seed ^ market.instance().name().len() as u64,
-            );
-            let model: Box<dyn ProbModel> = match kind {
-                PredictorKind::RevPred => {
-                    let mut net = RevPredNet::new(cfg);
-                    net.train(&samples, cfg);
-                    Box::new(net)
-                }
-                PredictorKind::Tributary => {
-                    let mut net = TributaryNet::new(cfg);
-                    net.train(&samples, cfg);
-                    Box::new(net)
-                }
-                PredictorKind::Logistic => {
-                    let mut model = LogisticModel::new();
-                    model.train(&samples, cfg);
-                    Box::new(model)
-                }
-            };
-            models.insert(market.instance().name().to_string(), model);
-        }
+        let policy = kind.delta_policy();
+        let data_seed = |market: &SpotMarket| cfg.seed ^ market.instance().name().len() as u64;
+        // The LSTM families train market by market on materialized samples.
+        let per_market = |fit: &dyn Fn(&[Sample]) -> Box<dyn ProbModel>| -> Vec<_> {
+            pool.iter()
+                .map(|market| {
+                    let seed = data_seed(market);
+                    fit(&build_dataset(market, train_from, train_to, stride, policy, seed))
+                })
+                .collect()
+        };
+        let trained: Vec<Box<dyn ProbModel>> = match kind {
+            PredictorKind::RevPred => per_market(&|samples| {
+                let mut net = RevPredNet::new(cfg);
+                net.train(samples, cfg);
+                Box::new(net)
+            }),
+            PredictorKind::Tributary => per_market(&|samples| {
+                let mut net = TributaryNet::new(cfg);
+                net.train(samples, cfg);
+                Box::new(net)
+            }),
+            // The markets share the sample grid and the shuffle, so their
+            // (independent) models train in one lock-step pass.
+            PredictorKind::Logistic => {
+                let sets = pool.iter().map(|market| {
+                    let seed = data_seed(market);
+                    SlicedDataset::build(market, train_from, train_to, stride, policy, seed)
+                });
+                LogisticModel::train_lockstep(sets, cfg)
+                    .into_iter()
+                    .map(|model| Box::new(model) as Box<dyn ProbModel>)
+                    .collect()
+            }
+        };
+        let models: BTreeMap<String, Box<dyn ProbModel>> =
+            pool.iter().map(|market| market.instance().name().to_string()).zip(trained).collect();
         let label = match kind {
             PredictorKind::RevPred => "RevPred",
             PredictorKind::Tributary => "Tributary",

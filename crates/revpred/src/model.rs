@@ -130,7 +130,7 @@ pub(crate) fn batch_present(samples: &[&Sample]) -> Matrix {
 /// requires `π/(1−π) = P̂·φ⁺ / ((1−P̂)·φ⁻)`. The paper's printed Eq. 3 has
 /// the `φ` ratio inverted, which contradicts its own weighting scheme and
 /// empirically collapses recall on positive-heavy markets — we implement
-/// the consistent form and document the erratum in DESIGN.md.
+/// the consistent form (see "The inverted φ in Eq. 3" in the crate docs).
 pub fn calibrate(p_hat: f64, phi_pos: f64, phi_neg: f64) -> f64 {
     let p_hat = p_hat.clamp(1e-9, 1.0 - 1e-9);
     let odds = (p_hat * phi_pos) / ((1.0 - p_hat) * phi_neg);
