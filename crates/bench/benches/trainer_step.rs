@@ -1,7 +1,7 @@
-//! Criterion micro-benchmark: one training step of each real trainer — the
-//! per-step work the ML-simulation substrate pays inside campaigns — and
-//! the cold-scenario logistic predictor training split into its dataset
-//! and fit halves.
+//! Criterion micro-benchmark: one cold training curve of each workload —
+//! the trainer work a curve-tier miss pays inside campaigns — and the
+//! cold-scenario logistic predictor training split into its dataset and
+//! fit halves.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spottune_market::prelude::*;
@@ -11,27 +11,13 @@ use spottune_revpred::TrainConfig;
 
 fn bench_trainers(c: &mut Criterion) {
     let mut group = c.benchmark_group("trainer");
-    for alg in [Algorithm::LoR, Algorithm::Svm, Algorithm::Gbtr, Algorithm::LiR] {
+    for alg in Algorithm::all() {
         let w = Workload::benchmark(alg);
         let hp = w.hp_grid()[0].clone();
-        group.bench_function(format!("{}_step", alg.name()), |b| {
-            b.iter_batched(
-                || TrainingRun::new(&w, &hp, 42),
-                |mut run| run.metric_at(1),
-                BatchSize::LargeInput,
-            )
+        group.bench_function(format!("{}_cold_curve", alg.name()), |b| {
+            b.iter(|| TrainingRun::with_cache(&w, &hp, 42, &CurveCache::new()).final_metric())
         });
     }
-    // The curve substrate is near-free; measure for completeness.
-    let w = Workload::benchmark(Algorithm::ResNet);
-    let hp = w.hp_grid()[0].clone();
-    group.bench_function("ResNet_full_curve_100", |b| {
-        b.iter_batched(
-            || TrainingRun::new(&w, &hp, 42),
-            |mut run| run.final_metric(),
-            BatchSize::SmallInput,
-        )
-    });
     group.finish();
 }
 

@@ -11,7 +11,7 @@ fn main() {
     // (a) Three LoR configurations, like the paper's three curves.
     let w = Workload::benchmark(Algorithm::LoR);
     let picks = [0usize, 5, 10];
-    let mut runs: Vec<(String, TrainingRun)> = picks
+    let runs: Vec<(String, TrainingRun)> = picks
         .iter()
         .map(|&i| {
             let hp = &w.hp_grid()[i];
@@ -22,7 +22,7 @@ fn main() {
     let mut rows = Vec::new();
     for k in (5..=max).step_by(5) {
         let mut row = vec![k.to_string()];
-        for (_, run) in runs.iter_mut() {
+        for (_, run) in &runs {
             row.push(format!("{:.4}", run.metric_at(k)));
         }
         rows.push(row);
@@ -41,7 +41,7 @@ fn main() {
         .iter()
         .find(|h| h.int("de") == 40 && h.int("depth") == 29)
         .expect("grid contains de=40 depth=29");
-    let mut run = TrainingRun::new(&w, hp, MASTER_SEED);
+    let run = TrainingRun::new(&w, hp, MASTER_SEED);
     let rows: Vec<Vec<String>> = (1..=w.max_trial_steps())
         .map(|k| vec![k.to_string(), format!("{:.4}", run.metric_at(k))])
         .collect();

@@ -64,7 +64,7 @@ fn main() {
             let mut preds = Vec::with_capacity(w.hp_grid().len());
             let mut finals = Vec::with_capacity(w.hp_grid().len());
             for hp in w.hp_grid() {
-                let mut run = TrainingRun::new(w, hp, seed);
+                let run = TrainingRun::new(w, hp, seed);
                 let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
                 for k in 1..=target {
                     ec.push(k, run.metric_at(k));

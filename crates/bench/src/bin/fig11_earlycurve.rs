@@ -19,7 +19,7 @@ fn main() {
         .iter()
         .find(|h| h.int("de") == 40 && h.int("depth") == 20)
         .expect("grid contains de=40 depth=20");
-    let mut run = TrainingRun::new(&w, hp, MASTER_SEED);
+    let run = TrainingRun::new(&w, hp, MASTER_SEED);
     let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
     let mut slaq = Slaq::new();
     for k in 1..=target {
@@ -53,7 +53,7 @@ fn main() {
     let mut rows = Vec::new();
     let (mut sum_ec, mut sum_slaq) = (0.0, 0.0);
     for (i, hp) in w.hp_grid().iter().enumerate() {
-        let mut run = TrainingRun::new(&w, hp, MASTER_SEED);
+        let run = TrainingRun::new(&w, hp, MASTER_SEED);
         let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
         let mut slaq = Slaq::new();
         for k in 1..=target {

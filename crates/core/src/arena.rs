@@ -123,8 +123,8 @@ mod tests {
             job.step_carry = 0.25;
         }
         let reused = arena.prepare(&w, 20, ec, 2, &cache);
-        for (i, job) in reused.iter_mut().enumerate() {
-            let mut fresh = Job::new(&w, i, 20, ec, 2, &cache);
+        for (i, job) in reused.iter().enumerate() {
+            let fresh = Job::new(&w, i, 20, ec, 2, &cache);
             assert_eq!(job.hp_index, fresh.hp_index);
             assert_eq!(job.ckpt_key, fresh.ckpt_key);
             assert_eq!(job.steps_done, 0);

@@ -112,15 +112,13 @@ pub fn run_single_spot_with_cache(
             .request_spot(start, inst_name, never)
             .expect("baseline request cannot be rejected");
         let launched = provider.vm(vm).expect("vm exists").launched_at();
-        // Advance the training run to completion, sampling per-step times.
-        let mut run = TrainingRun::with_cache(workload, hp, seed, curve_cache);
+        // Run the configuration to completion, sampling per-step times.
         let max = workload.max_trial_steps();
         let mut busy = 0.0f64;
-        for k in 1..=max {
+        for _ in 0..max {
             busy += perf.sample_spe(&inst, workload, hp, &mut rng);
-            let _ = run.metric_at(k);
         }
-        finals.push(run.final_metric());
+        finals.push(TrainingRun::with_cache(workload, hp, seed, curve_cache).final_metric());
         charged_steps += max;
         let busy_dur = SimDur::from_secs(busy.ceil() as u64);
         train_time += busy_dur;
@@ -208,14 +206,12 @@ pub fn run_on_demand_with_cache(
             .request_on_demand(start, inst_name)
             .expect("baseline instance is in the catalog");
         let launched = provider.vm(vm).expect("vm exists").launched_at();
-        let mut run = TrainingRun::with_cache(workload, hp, seed, curve_cache);
         let max = workload.max_trial_steps();
         let mut busy = 0.0f64;
-        for k in 1..=max {
+        for _ in 0..max {
             busy += perf.sample_spe(&inst, workload, hp, &mut rng);
-            let _ = run.metric_at(k);
         }
-        finals.push(run.final_metric());
+        finals.push(TrainingRun::with_cache(workload, hp, seed, curve_cache).final_metric());
         charged_steps += max;
         let busy_dur = SimDur::from_secs(busy.ceil() as u64);
         train_time += busy_dur;

@@ -268,14 +268,13 @@ impl Engine {
             let vm = provider.vm(vm_id).expect("vm exists");
             let inst = vm.instance().clone();
             let launched = vm.launched_at();
-            // Advance the training run to completion, sampling per-step times.
-            let mut run = TrainingRun::with_cache(workload, hp, cfg.seed, &self.curve_cache);
+            // Run the configuration to completion, sampling per-step times.
             let max = workload.max_trial_steps();
             let mut busy = 0.0f64;
-            for k in 1..=max {
+            for _ in 0..max {
                 busy += self.perf_model.sample_spe(&inst, workload, hp, &mut rng);
-                let _ = run.metric_at(k);
             }
+            let run = TrainingRun::with_cache(workload, hp, cfg.seed, &self.curve_cache);
             finals.push(run.final_metric());
             charged_steps += max;
             let busy_dur = SimDur::from_secs(busy.ceil() as u64);

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// Detection thresholds. Paper defaults are `ξ = 0.5`, `ε = 0.01`,
 /// window 5; [`StageConfig::default`] uses `ξ = 0.3`, `ε = 0.05` instead
 /// because this harness's curves carry ~2 % multiplicative metric noise and
-/// gentler decay drops than ResNet-56's (calibration note in DESIGN.md).
+/// gentler decay drops than ResNet-56's (see the crate's design notes).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageConfig {
     /// Threshold `ξ` on the instantaneous change rate.

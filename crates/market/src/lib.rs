@@ -33,6 +33,7 @@ pub mod seeding;
 pub mod spine;
 pub mod stats;
 pub mod synth;
+pub mod tier;
 pub mod time;
 
 pub use estimator::{
@@ -40,9 +41,10 @@ pub use estimator::{
 };
 pub use instance::InstanceType;
 pub use market::{MarketPool, SpotMarket};
-pub use poolcache::{CacheStats, MarketScenario, PoolCache};
+pub use poolcache::{MarketScenario, PoolCache};
 pub use price::{PricePoint, PriceTrace};
 pub use spine::{PoolSpine, SpineCache};
+pub use tier::{CacheStats, Tier};
 pub use time::{SimDur, SimTime};
 
 /// Convenient glob-import surface.
@@ -52,9 +54,10 @@ pub mod prelude {
     };
     pub use crate::instance::{self, InstanceType};
     pub use crate::market::{MarketPool, SpotMarket};
-    pub use crate::poolcache::{CacheStats, MarketScenario, PoolCache};
+    pub use crate::poolcache::{MarketScenario, PoolCache};
     pub use crate::price::{PricePoint, PriceTrace};
     pub use crate::spine::{PoolSpine, SpineCache};
     pub use crate::synth::{Regime, TraceGenerator};
+    pub use crate::tier::CacheStats;
     pub use crate::time::{SimDur, SimTime};
 }

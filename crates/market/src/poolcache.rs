@@ -10,10 +10,9 @@
 
 use crate::market::MarketPool;
 use crate::time::SimDur;
+use crate::tier::Tier;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::ops::Deref;
 
 /// Identifies one reproducible market environment: the standard Table-III
 /// catalog with synthetic traces of `trace_mins` minutes derived from
@@ -52,50 +51,22 @@ impl MarketScenario {
     }
 }
 
-/// Hit/miss counters of a shared cache tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to build/compute the entry.
-    pub misses: u64,
-    /// Entries dropped to respect a capacity bound (0 for unbounded tiers).
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups served from the cache (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / self.lookups() as f64
-    }
-}
-
-/// A shared, thread-safe pool tier keyed by [`MarketScenario`].
+/// The shared market-pool tier: a [`Tier`] keyed by [`MarketScenario`].
 ///
 /// Cloning the cache clones a handle to the same tier (the server hands one
-/// to every worker). The map mutex guards only the entry lookup; the
-/// expensive pool construction runs inside a per-scenario `OnceLock`, so
-/// distinct cold scenarios build in parallel, hits never wait behind a
-/// build, and two workers racing on the *same* cold scenario still pay the
-/// construction cost once.
+/// to every worker). Distinct cold scenarios build in parallel, and two
+/// workers racing on the *same* cold scenario still pay the construction
+/// cost once; the tier's other methods (`len`, `stats`, …) come from
+/// [`Tier`].
 #[derive(Debug, Clone, Default)]
-pub struct PoolCache {
-    inner: Arc<PoolCacheInner>,
-}
+pub struct PoolCache(Tier<MarketScenario, MarketPool>);
 
-#[derive(Debug, Default)]
-struct PoolCacheInner {
-    pools: Mutex<BTreeMap<MarketScenario, Arc<OnceLock<MarketPool>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+impl Deref for PoolCache {
+    type Target = Tier<MarketScenario, MarketPool>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl PoolCache {
@@ -105,56 +76,16 @@ impl PoolCache {
     }
 
     /// The pool for `scenario`: a shared clone on a hit, built (and
-    /// retained) on a miss. The requester that creates the entry counts
-    /// the miss and builds; concurrent same-scenario requesters count hits
-    /// and block only on that entry.
+    /// retained) on a miss.
     pub fn get(&self, scenario: MarketScenario) -> MarketPool {
-        let cell = {
-            let mut pools = self.inner.pools.lock().expect("pool cache lock");
-            match pools.get(&scenario) {
-                Some(cell) => {
-                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(cell)
-                }
-                None => {
-                    self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                    let cell = Arc::new(OnceLock::new());
-                    pools.insert(scenario, Arc::clone(&cell));
-                    cell
-                }
-            }
-        };
-        cell.get_or_init(|| scenario.build()).clone()
-    }
-
-    /// Number of distinct scenarios currently resident.
-    pub fn len(&self) -> usize {
-        self.inner.pools.lock().expect("pool cache lock").len()
-    }
-
-    /// Whether no scenario has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every resident pool (counters are retained).
-    pub fn clear(&self) {
-        self.inner.pools.lock().expect("pool cache lock").clear();
-    }
-
-    /// Hit/miss counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            evictions: 0,
-        }
+        self.0.get(scenario, MarketScenario::build)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier::CacheStats;
 
     #[test]
     fn hits_share_the_same_markets() {
@@ -185,14 +116,6 @@ mod tests {
         let scenario = MarketScenario::from_days(1, 42);
         assert_eq!(scenario.build(), MarketPool::standard(SimDur::from_days(1), 42));
         assert_eq!(scenario.total(), SimDur::from_days(1));
-    }
-
-    #[test]
-    fn hit_rate_reports_fraction() {
-        let stats = CacheStats { hits: 3, misses: 1, evictions: 0 };
-        assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-        assert_eq!(stats.lookups(), 4);
     }
 
     #[test]

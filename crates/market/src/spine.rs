@@ -21,16 +21,17 @@
 //! window is the first exceeding run clamped to the window start — locked
 //! by the naive-equivalence tests below.
 //!
-//! [`SpineCache`] is the scenario-keyed tier handing out shared spines,
-//! mirroring [`PoolCache`](crate::poolcache::PoolCache).
+//! [`SpineCache`] is the scenario-keyed [`Tier`] handing out shared spines.
 
 use crate::market::MarketPool;
-use crate::poolcache::{CacheStats, MarketScenario};
+use crate::poolcache::MarketScenario;
 use crate::price::PriceTrace;
+use crate::tier::Tier;
 use crate::time::{SimDur, SimTime, MINUTE};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// One market's price-change agenda: constant-price runs plus a
 /// segment-max tree answering "first run at/after `r` priced above a
@@ -218,20 +219,17 @@ impl PoolSpine {
     }
 }
 
-/// A shared, thread-safe spine tier keyed by [`MarketScenario`], following
-/// the [`PoolCache`](crate::poolcache::PoolCache) discipline: the map
-/// mutex guards only the entry lookup, construction runs inside a
-/// per-scenario `OnceLock`, and a hit is an `Arc` bump.
+/// The shared spine tier: a [`Tier`] keyed by [`MarketScenario`], like the
+/// [`PoolCache`](crate::poolcache::PoolCache); a hit is an `Arc` bump.
 #[derive(Debug, Clone, Default)]
-pub struct SpineCache {
-    inner: Arc<SpineCacheInner>,
-}
+pub struct SpineCache(Tier<MarketScenario, Arc<PoolSpine>>);
 
-#[derive(Debug, Default)]
-struct SpineCacheInner {
-    spines: Mutex<BTreeMap<MarketScenario, Arc<OnceLock<Arc<PoolSpine>>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+impl Deref for SpineCache {
+    type Target = Tier<MarketScenario, Arc<PoolSpine>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl SpineCache {
@@ -244,53 +242,19 @@ impl SpineCache {
     /// pool that scenario resolves to — callers obtain both through the
     /// same scenario key, so the pairing is by construction).
     pub fn get(&self, scenario: MarketScenario, pool: &MarketPool) -> Arc<PoolSpine> {
-        let cell = {
-            let mut spines = self.inner.spines.lock().expect("spine cache lock");
-            match spines.get(&scenario) {
-                Some(cell) => {
-                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(cell)
-                }
-                None => {
-                    self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                    let cell = Arc::new(OnceLock::new());
-                    spines.insert(scenario, Arc::clone(&cell));
-                    cell
-                }
-            }
-        };
-        Arc::clone(cell.get_or_init(|| Arc::new(PoolSpine::build(pool))))
-    }
-
-    /// Number of distinct scenarios currently resident.
-    pub fn len(&self) -> usize {
-        self.inner.spines.lock().expect("spine cache lock").len()
-    }
-
-    /// Whether no spine has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.get(scenario, |_| Arc::new(PoolSpine::build(pool)))
     }
 
     /// Total queries answered by the resident spines.
     pub fn resident_queries(&self) -> u64 {
-        let spines = self.inner.spines.lock().expect("spine cache lock");
-        spines.values().filter_map(|cell| cell.get()).map(|s| s.queries()).sum()
-    }
-
-    /// Hit/miss counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            evictions: 0,
-        }
+        self.resident().iter().map(|s| s.queries()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier::CacheStats;
 
     fn pool() -> MarketPool {
         MarketPool::standard(SimDur::from_days(2), 42)

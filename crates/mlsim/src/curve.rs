@@ -2,7 +2,7 @@
 //!
 //! Training AlexNet/ResNet on CIFAR-10 inside the simulator is out of scope,
 //! so their validation-loss series come from this generative model instead
-//! (substitution documented in DESIGN.md). The model reproduces exactly the
+//! (see the crate's design notes). The model reproduces exactly the
 //! two properties the paper's predictors key on:
 //!
 //! * **sublinear convergence** — each stage decays like

@@ -7,7 +7,7 @@
 //! candidate split thresholds (histogram bins) evaluated per feature — the
 //! closest per-step capacity knob in a fixed-step-count harness, since
 //! SpotTune fixes `max_trial_steps` per workload while `nt` varies per
-//! configuration (substitution documented in DESIGN.md).
+//! configuration (see the crate's design notes).
 
 use super::{sample_batch, Trainer};
 use crate::dataset::Dataset;

@@ -4,7 +4,7 @@
 //! EarlyCurve fits — for the four non-CNN benchmarks of Table II
 //! (logistic regression, SVM, GBT regression, linear regression). The two
 //! CNN benchmarks use the staged synthetic curve model in
-//! [`crate::curve`] instead (see DESIGN.md for the substitution rationale).
+//! [`crate::curve`] instead (see the crate's design notes).
 
 pub mod gbt;
 pub mod linreg;

@@ -69,10 +69,9 @@ pub struct Workload {
 impl Workload {
     /// Builds the Table II benchmark for one algorithm.
     ///
-    /// Grid values follow Table II; the `ds` (decay-steps) axis is scaled to
-    /// this harness's step counts (100/200 instead of 1000/2000, matching
-    /// `max_trial_steps` = 400 instead of the paper's thousands) — see
-    /// DESIGN.md.
+    /// Grid values follow Table II; the `ds` (decay-steps) axis is scaled
+    /// with this harness's smaller step budgets (50 / 100 instead of
+    /// 1000 / 2000) — see the crate's design notes.
     pub fn benchmark(algorithm: Algorithm) -> Workload {
         let ints = |vals: &[i64]| vals.iter().map(|&v| HpValue::Int(v)).collect::<Vec<_>>();
         let floats = |vals: &[f64]| vals.iter().map(|&v| HpValue::Float(v)).collect::<Vec<_>>();

@@ -11,65 +11,29 @@
 //! key, so a cache hit can never change a report, only wall-clock.
 
 use crate::estimator::{train_for_scenario, MarketPredictorSet, PredictorKind};
-use spottune_market::{CacheStats, MarketPool, MarketScenario};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use spottune_market::{MarketPool, MarketScenario, Tier};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-/// A shared, thread-safe trained-predictor tier keyed by
+/// The shared trained-predictor tier: a [`Tier`] keyed by
 /// `(MarketScenario, PredictorKind)`.
 ///
 /// Cloning the cache clones a handle to the same tier (the server hands
-/// one to every worker). The map mutex guards only the entry lookup; the
-/// expensive training runs inside a per-key `OnceLock`, so distinct cold
-/// keys train in parallel, hits never wait behind a training run, and two
+/// one to every worker). Distinct cold keys train in parallel, and two
 /// workers racing on the *same* cold key still pay the training cost once.
 /// An optional capacity bound ([`PredictorCache::with_capacity`]) turns
-/// the tier into an LRU, mirroring the curve tier
-/// (`CurveCache::with_capacity`): a sweep over many market scenarios
-/// would otherwise retain every trained set it ever produced. Evictions
-/// are counted in [`CacheStats::evictions`]; an evicted key retrains on
-/// its next request (a fresh miss), never changing any report.
+/// the tier into an LRU: a sweep over many market scenarios would
+/// otherwise retain every trained set it ever produced. An evicted key
+/// retrains on its next request (a fresh miss), never changing any report;
+/// a training that panics leaves no entry behind.
 #[derive(Debug, Clone, Default)]
-pub struct PredictorCache {
-    inner: Arc<PredictorCacheInner>,
-}
+pub struct PredictorCache(Tier<(MarketScenario, PredictorKind), Arc<MarketPredictorSet>>);
 
-#[derive(Debug, Default)]
-struct PredictorCacheInner {
-    sets: Mutex<PredictorStore>,
-    /// Maximum resident trained sets; 0 means unbounded.
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+impl Deref for PredictorCache {
+    type Target = Tier<(MarketScenario, PredictorKind), Arc<MarketPredictorSet>>;
 
-type PredictorKey = (MarketScenario, PredictorKind);
-type PredictorCell = Arc<OnceLock<Arc<MarketPredictorSet>>>;
-
-/// Resident entries plus the logical clock backing LRU ordering.
-#[derive(Debug, Default)]
-struct PredictorStore {
-    entries: BTreeMap<PredictorKey, PredictorEntry>,
-    /// Monotone lookup/insert counter; entries stamp their last touch.
-    tick: u64,
-}
-
-#[derive(Debug)]
-struct PredictorEntry {
-    cell: PredictorCell,
-    last_used: u64,
-}
-
-impl PredictorStore {
-    fn touch(&mut self, key: &PredictorKey) -> Option<PredictorCell> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.cell)
-        })
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
@@ -81,21 +45,9 @@ impl PredictorCache {
 
     /// Creates an empty tier retaining at most `capacity` trained sets,
     /// evicting the least-recently-used entry on overflow (`0` means
-    /// unbounded). Eviction scans the resident entries for the oldest
-    /// stamp — O(capacity) per overflowing insert, and only sweeps whose
-    /// scenario working set exceeds the bound ever pay it. An entry whose
-    /// training is still in flight can be evicted safely: the trainer
-    /// holds its own handle and still returns its set; the tier merely
-    /// forgets it.
+    /// unbounded).
     pub fn with_capacity(capacity: usize) -> Self {
-        PredictorCache {
-            inner: Arc::new(PredictorCacheInner { capacity, ..PredictorCacheInner::default() }),
-        }
-    }
-
-    /// The capacity bound (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        PredictorCache(Tier::with_capacity(capacity))
     }
 
     /// The process-wide shared tier, mirroring the curve memo's
@@ -118,92 +70,14 @@ impl PredictorCache {
         scenario: MarketScenario,
         pool: &MarketPool,
     ) -> Arc<MarketPredictorSet> {
-        let key = (scenario, kind);
-        let cell = {
-            let mut sets = self.inner.sets.lock().expect("predictor cache lock");
-            match sets.touch(&key) {
-                Some(cell) => {
-                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                    cell
-                }
-                None => {
-                    self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                    let capacity = self.inner.capacity;
-                    if capacity > 0 && sets.entries.len() >= capacity {
-                        let victim = sets
-                            .entries
-                            .iter()
-                            .min_by_key(|(_, e)| e.last_used)
-                            .map(|(k, _)| *k)
-                            .expect("non-empty store at capacity");
-                        sets.entries.remove(&victim);
-                        self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let cell: PredictorCell = Arc::new(OnceLock::new());
-                    let tick = sets.tick;
-                    sets.entries.insert(
-                        key,
-                        PredictorEntry { cell: Arc::clone(&cell), last_used: tick },
-                    );
-                    cell
-                }
-            }
-        };
-        let trained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Arc::clone(cell.get_or_init(|| Arc::new(train_for_scenario(kind, scenario, pool))))
-        }));
-        match trained {
-            Ok(set) => set,
-            Err(payload) => {
-                // Training panicked (e.g. a trace shorter than the warm-up
-                // window). Drop the still-empty entry so the next request
-                // for this key counts a fresh miss instead of a hit that
-                // silently re-runs the failing training — keeping the
-                // "every miss is one training attempt" counter semantic.
-                {
-                    let mut sets = self.inner.sets.lock().expect("predictor cache lock");
-                    if let Some(existing) = sets.entries.get(&key) {
-                        if Arc::ptr_eq(&existing.cell, &cell) && cell.get().is_none() {
-                            sets.entries.remove(&key);
-                        }
-                    }
-                    // Guard dropped here: resuming the unwind while holding
-                    // the lock would poison the whole tier.
-                }
-                std::panic::resume_unwind(payload)
-            }
-        }
-    }
-
-    /// Number of distinct `(scenario, kind)` pairs currently resident.
-    pub fn len(&self) -> usize {
-        self.inner.sets.lock().expect("predictor cache lock").entries.len()
-    }
-
-    /// Whether no predictor has been trained yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every resident predictor set (counters are retained).
-    pub fn clear(&self) {
-        self.inner.sets.lock().expect("predictor cache lock").entries.clear();
-    }
-
-    /// Hit/miss/eviction counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            evictions: self.inner.evictions.load(Ordering::Relaxed),
-        }
+        self.0.get((scenario, kind), |_| Arc::new(train_for_scenario(kind, scenario, pool)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spottune_market::{RevocationEstimator, SimTime};
+    use spottune_market::{CacheStats, RevocationEstimator, SimTime};
 
     #[test]
     fn hits_share_the_same_trained_set() {

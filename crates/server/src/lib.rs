@@ -176,7 +176,8 @@ pub struct ServerStats {
     pub spine_cache: CacheStats,
     /// Distinct market scenarios currently resident.
     pub resident_pools: usize,
-    /// Completed training curves currently resident.
+    /// Training curves currently resident, including ones still being
+    /// built.
     pub resident_curves: usize,
     /// Trained predictor sets currently resident.
     pub resident_predictors: usize,
@@ -662,26 +663,6 @@ impl CampaignServer {
             .collect()
     }
 
-    /// Handle to the scenario-keyed market-pool tier.
-    pub fn pool_cache(&self) -> &PoolCache {
-        &self.pools
-    }
-
-    /// Handle to the cross-request curve-memo tier.
-    pub fn curve_cache(&self) -> &CurveCache {
-        &self.curves
-    }
-
-    /// Handle to the `(scenario × kind)`-keyed trained-predictor tier.
-    pub fn predictor_cache(&self) -> &PredictorCache {
-        &self.predictors
-    }
-
-    /// Handle to the scenario-keyed price-spine tier.
-    pub fn spine_cache(&self) -> &SpineCache {
-        &self.spines
-    }
-
     /// Counters and shared-tier state.
     pub fn stats(&self) -> ServerStats {
         // One snapshot (the runner shares this server's tiers): each
@@ -1018,8 +999,13 @@ mod tests {
             req.estimator = EstimatorSpec::Logistic;
             req.scenario = MarketScenario::from_days(1, 100 + i as u64);
         }
-        let responses = server.run_sweep(requests);
+        let responses = server.run_sweep(requests.clone());
         assert_eq!(responses.len(), 3);
+        // Eviction recomputes, never corrupts: every report is the serial
+        // reference's.
+        for (req, response) in requests.iter().zip(&responses) {
+            assert_eq!(response.report, req.run_serial(&req.scenario.build(), &CurveCache::new()));
+        }
         let stats = server.stats();
         assert_eq!(stats.predictor_cache.misses, 3, "{:?}", stats.predictor_cache);
         assert_eq!(stats.predictor_cache.evictions, 2, "{:?}", stats.predictor_cache);

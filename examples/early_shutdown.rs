@@ -21,7 +21,7 @@ fn main() {
     let theta = 0.7;
     let observed = (theta * max as f64).ceil() as u64;
 
-    let mut run = TrainingRun::new(&workload, hp, 42);
+    let run = TrainingRun::new(&workload, hp, 42);
     let mut earlycurve = EarlyCurve::new(EarlyCurveConfig::default());
     let mut slaq = Slaq::new();
     for k in 1..=observed {

@@ -8,7 +8,7 @@ use spottune::prelude::*;
 fn earlycurve_tracks_real_logreg_curve() {
     let w = Workload::benchmark(Algorithm::LoR);
     let hp = w.hp_grid()[0].clone();
-    let mut run = TrainingRun::new(&w, &hp, 42);
+    let run = TrainingRun::new(&w, &hp, 42);
     let max = w.max_trial_steps();
     let observed = (0.7 * max as f64).ceil() as u64;
     let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
@@ -33,7 +33,7 @@ fn earlycurve_beats_slaq_on_staged_cnn_curves() {
     let observed = (0.7 * max as f64).ceil() as u64;
     let (mut err_ec, mut err_slaq) = (0.0, 0.0);
     for hp in w.hp_grid() {
-        let mut run = TrainingRun::new(&w, hp, 42);
+        let run = TrainingRun::new(&w, hp, 42);
         let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
         let mut slaq = Slaq::new();
         for k in 1..=observed {
@@ -59,7 +59,7 @@ fn stage_boundary_matches_decay_epoch() {
         .iter()
         .find(|h| h.int("de") == 40)
         .expect("grid has de=40");
-    let mut run = TrainingRun::new(&w, hp, 42);
+    let run = TrainingRun::new(&w, hp, 42);
     let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
     for k in 1..=70 {
         ec.push(k, run.metric_at(k));

@@ -79,7 +79,7 @@ fn workload_grids_match_their_trainers() {
     let perf = PerfModel::new();
     for w in Workload::all_benchmarks() {
         for hp in w.hp_grid() {
-            let mut run = TrainingRun::new(&w, hp, 1);
+            let run = TrainingRun::new(&w, hp, 1);
             assert!(run.metric_at(1).is_finite());
             for inst in spottune_market::instance::catalog() {
                 assert!(perf.true_spe(&inst, &w, hp) > 0.0);
