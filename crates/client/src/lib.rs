@@ -5,6 +5,12 @@
 //! typed error frame), plus the `{"stats":true}` / `{"shutdown":true}`
 //! admin frames.
 //!
+//! ## Framing
+//!
+//! Each frame, its trailing `\n` included, goes out in one `write` on a
+//! `TCP_NODELAY` socket (set on every connect, reconnects included), so a
+//! request never sits behind Nagle waiting for the server's delayed ACK.
+//!
 //! ## Deterministic retry
 //!
 //! Transient refusals (`overloaded`, `throttled`, `draining`) and
@@ -139,18 +145,17 @@ struct Connection {
 impl Connection {
     fn open(addr: &str) -> std::io::Result<Connection> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Connection { reader, writer: stream })
     }
 
-    /// Sends one frame and reads one reply line. `Ok(None)` means the
-    /// server closed the connection; a reply longer than
-    /// [`wire::MAX_FRAME_BYTES`] is a wire error (`take` bounds what one
-    /// server-controlled line may buffer).
+    /// Sends one frame, newline included, in a single write and reads one
+    /// reply line. `Ok(None)` means the server closed the connection; a
+    /// reply longer than [`wire::MAX_FRAME_BYTES`] is a wire error (`take`
+    /// bounds what one server-controlled line may buffer).
     fn round_trip(&mut self, frame: &str) -> Result<Option<String>, ClientError> {
-        self.writer.write_all(frame.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.writer.write_all(format!("{frame}\n").as_bytes())?;
         let mut line = String::new();
         let read = (&mut self.reader).take(wire::MAX_FRAME_BYTES).read_line(&mut line)?;
         if read == 0 {

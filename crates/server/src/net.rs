@@ -11,6 +11,11 @@
 //! * `{"stats":true}` — answered with a flattened counter snapshot,
 //! * `{"shutdown":true}` — begins a graceful drain of the whole server.
 //!
+//! **Framing:** one frame, its trailing `\n` included, is one `write` on
+//! a `TCP_NODELAY` socket, so no reply waits on Nagle for a delayed ACK.
+//! The reader never depends on that: it reassembles lines from whatever
+//! segments arrive.
+//!
 //! The server answers every accepted request with exactly one frame: a
 //! campaign response, or a typed error frame whose `kind` is one of
 //! [`spottune_core::wire::registered_error_kinds`]. Nothing is silently
@@ -24,7 +29,10 @@
 //! * **Fairness** — admitted requests enter a small per-connection
 //!   staging queue; a single dispatcher drains the staging queues
 //!   round-robin (one request per connection per pass) into the core's
-//!   bounded queue, so one chatty client cannot starve the rest.
+//!   bounded queue, so one chatty client cannot starve the rest. When a
+//!   pass moves nothing the dispatcher blocks on a doorbell, rung when a
+//!   request is staged, when a connection hits EOF and when the drain
+//!   begins — it neither polls nor sleeps.
 //! * **Backpressure** — the core queue is bounded
 //!   ([`ServerConfig::queue_capacity`](crate::ServerConfig)); an
 //!   over-capacity submit comes back as an `overloaded` frame.
@@ -137,16 +145,16 @@ struct SharedWriter {
 }
 
 impl SharedWriter {
-    fn send_line(&self, line: &str) {
-        let mut stream = lock_clean(&self.stream);
-        let _ = stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush());
+    /// Writes `frame` and its newline in one `write_all`. The buffer is
+    /// built before the lock, and the lock is what keeps frames from the
+    /// reader, the dispatcher and the responder from interleaving.
+    fn send_line(&self, mut frame: String) {
+        frame.push('\n');
+        let _ = lock_clean(&self.stream).write_all(frame.as_bytes());
     }
 
     fn send_error(&self, id: Option<u64>, kind: ErrorKind, message: impl Into<String>) {
-        self.send_line(&wire::encode_error_frame(&ErrorFrame {
+        self.send_line(wire::encode_error_frame(&ErrorFrame {
             id,
             kind,
             message: message.into(),
@@ -188,6 +196,9 @@ struct Inner {
     admission: AdmissionConfig,
     addr: SocketAddr,
     draining: AtomicBool,
+    /// The dispatcher's wake-up: holds at most one pending ring, so rings
+    /// that arrive while one is pending coalesce and none is lost.
+    doorbell: Sender<()>,
     counters: NetCounters,
     registry: Mutex<Vec<ConnSlot>>,
     /// Responder threads: joined *before* the sockets close, so every
@@ -215,11 +226,20 @@ impl Inner {
     }
 
     /// Flips the draining flag and nudges the accept loop awake with a
-    /// throwaway connection to our own listener.
+    /// throwaway connection to our own listener. The dispatcher is rung
+    /// only *after* the flip: a ring before it could be consumed by a pass
+    /// that still reads `draining == false`, and the drain would hang.
     fn request_shutdown(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
+            self.ring();
             let _ = TcpStream::connect(self.addr);
         }
+    }
+
+    /// Wakes the dispatcher; rung by a reader after staging a request, by
+    /// a reader at EOF, and by [`Inner::request_shutdown`].
+    fn ring(&self) {
+        let _ = self.doorbell.try_send(());
     }
 }
 
@@ -242,6 +262,8 @@ impl ShutdownHandle {
 pub struct NetServer {
     listener: TcpListener,
     inner: Arc<Inner>,
+    /// The dispatcher's end of [`Inner::doorbell`].
+    doorbell: Receiver<()>,
 }
 
 impl NetServer {
@@ -254,18 +276,20 @@ impl NetServer {
     pub fn bind(addr: &str, config: NetServerConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let (doorbell, doorbell_rx) = channel::bounded(1);
         let inner = Arc::new(Inner {
             core: CampaignServer::start(config.server),
             admission: config.admission,
             addr,
             draining: AtomicBool::new(false),
+            doorbell,
             counters: NetCounters::default(),
             registry: Mutex::new(Vec::new()),
             responder_threads: Mutex::new(Vec::new()),
             reader_threads: Mutex::new(Vec::new()),
             sockets: Mutex::new(Vec::new()),
         });
-        Ok(NetServer { listener, inner })
+        Ok(NetServer { listener, inner, doorbell: doorbell_rx })
     }
 
     /// The bound address (resolves the ephemeral port of `bind(":0")`).
@@ -289,10 +313,10 @@ impl NetServer {
     /// Returns accept-loop I/O errors other than transient per-connection
     /// failures (which are skipped).
     pub fn run(self) -> std::io::Result<()> {
-        let NetServer { listener, inner } = self;
+        let NetServer { listener, inner, doorbell } = self;
         let dispatcher = {
             let inner = Arc::clone(&inner);
-            std::thread::spawn(move || dispatcher_loop(&inner))
+            std::thread::spawn(move || dispatcher_loop(&inner, &doorbell))
         };
         loop {
             let (stream, _) = match listener.accept() {
@@ -341,6 +365,8 @@ impl NetServer {
 
 /// Spawns the reader + responder pair for one accepted connection.
 fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream) {
+    // A socket that refuses the option still works, only slower.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -369,6 +395,9 @@ fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream) {
         std::thread::spawn(move || {
             reader_loop(&inner, read_half, &writer, &staging);
             open.store(false, Ordering::SeqCst);
+            // Wake the dispatcher so it retires the slot now, not at the
+            // next unrelated ring.
+            inner.ring();
             inner.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
         })
     };
@@ -416,13 +445,13 @@ fn reader_loop(
             continue;
         }
         match wire::decode_client_frame(text) {
-            Ok(ClientFrame::Stats) => writer.send_line(&inner.stats_frame()),
+            Ok(ClientFrame::Stats) => writer.send_line(inner.stats_frame()),
             Ok(ClientFrame::Shutdown) => {
                 // Ack with a stats snapshot *before* flipping the drain
                 // flag: once the drain starts, the socket teardown races
                 // this write and the requester could lose its ack.
                 // Responses still flush before close either way.
-                writer.send_line(&inner.stats_frame());
+                writer.send_line(inner.stats_frame());
                 inner.request_shutdown();
             }
             Ok(ClientFrame::Request { request, deadline_ms }) => {
@@ -461,6 +490,8 @@ fn reader_loop(
                     continue;
                 }
                 queue.push_back(Staged { request, deadline });
+                drop(queue);
+                inner.ring();
             }
             Err(e) => {
                 inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -472,9 +503,13 @@ fn reader_loop(
 
 /// Round-robin dispatcher: one staged request per connection per pass
 /// into the core's bounded queue. Submit refusals become typed error
-/// frames on the owning connection. Exits only after a drain has been
-/// requested *and* every staging queue has been flushed.
-fn dispatcher_loop(inner: &Arc<Inner>) {
+/// frames on the owning connection. A pass that moves nothing blocks on
+/// the doorbell: every event that can give the next pass work (a stage,
+/// an EOF, the drain) rings it after it happened, so a ring that lands
+/// between the pass and the wait stays pending and the wait returns at
+/// once. Exits only after a drain has been requested *and* every staging
+/// queue has been flushed.
+fn dispatcher_loop(inner: &Arc<Inner>, doorbell: &Receiver<()>) {
     loop {
         let draining = inner.draining.load(Ordering::SeqCst);
         let slots: Vec<usize> = (0..lock_clean(&inner.registry).len()).collect();
@@ -514,7 +549,8 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
             return;
         }
         if !moved {
-            std::thread::sleep(Duration::from_micros(500));
+            // `inner` holds the sender, so this returns only on a ring.
+            let _ = doorbell.recv();
         }
     }
 }
@@ -556,7 +592,7 @@ fn responder_loop(feed: &Receiver<(u64, Receiver<WorkOutcome>)>, writer: &Shared
     while let Ok((id, rx)) = feed.recv() {
         match rx.recv() {
             Ok(WorkOutcome::Done(response)) => {
-                writer.send_line(&wire::encode_response(&response));
+                writer.send_line(wire::encode_response(&response));
             }
             Ok(WorkOutcome::Expired { id }) => writer.send_error(
                 Some(id),
@@ -623,6 +659,30 @@ mod tests {
         assert!(get("lane_jobs") <= get("lane_slots") && get("lane_jobs") > Some(0), "{fields:?}");
         assert_eq!(get("connections_active"), Some(1));
 
+        handle.shutdown();
+        server.join().expect("server thread must not panic").expect("clean run");
+    }
+
+    /// A hang-up rings the doorbell: the parked dispatcher retires the
+    /// slot at once, with no other traffic to wake it.
+    #[test]
+    fn hang_up_retires_the_slot_without_other_traffic() {
+        let config =
+            NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
+        let net = NetServer::bind("127.0.0.1:0", config).expect("bind ephemeral");
+        let (addr, handle, inner) = (net.local_addr(), net.handle(), Arc::clone(&net.inner));
+        let server = std::thread::spawn(move || net.run());
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(format!("{}\n", wire::encode_stats_request()).as_bytes()).expect("send");
+        BufReader::new(&stream).read_line(&mut String::new()).expect("stats frame");
+        assert_eq!(lock_clean(&inner.registry).len(), 1, "the slot is registered before its reader");
+
+        drop(stream);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !lock_clean(&inner.registry).is_empty() {
+            assert!(Instant::now() < deadline, "the hung-up connection's slot was never retired");
+            std::thread::yield_now();
+        }
         handle.shutdown();
         server.join().expect("server thread must not panic").expect("clean run");
     }
