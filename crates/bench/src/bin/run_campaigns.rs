@@ -27,9 +27,10 @@
 //! shared curve tier to `N` resident curves (LRU, `0` = unbounded) for
 //! many-seed sweeps, and `--predictor-capacity N` bounds the trained-
 //! predictor tier the same way for scenario-heavy learned sweeps. The
-//! sweep always runs the server's one sweep path — requests grouped by
-//! market scenario, pool/spine/predictors resolved once per chunk, SoA
-//! cohorts through the cross-campaign lane kernel — and the summary's
+//! sweep always runs the server's one sweep path — one `CohortPlan` of
+//! requests grouped by market scenario, pool/spine/predictors resolved
+//! once per worker session, SoA cohorts through the cross-campaign lane
+//! kernel — and the summary's
 //! `spine tier` and `lane kernel` lines show it at work.
 
 use spottune_bench::TRACE_DAYS;

@@ -2,15 +2,14 @@
 //!
 //! Shared infrastructure for the figure/table regeneration binaries (one
 //! per paper figure, `src/bin/figNN_*.rs`) and the criterion
-//! micro-benchmarks. The campaign fan-out itself lives in
-//! `spottune-server`: the helpers here are thin clients that build
-//! [`CampaignRequest`]s and stream reports back from a worker pool.
+//! micro-benchmarks. The campaign fan-out itself is
+//! [`BatchRunner::run_many`]: the helpers here build [`CampaignRequest`]s
+//! and run them in process as one batch.
 
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
 use spottune_revpred::PredictorCache;
-use spottune_server::{CampaignServer, ServerConfig};
 
 // Re-exported so existing figure binaries keep importing the approach enum
 // from the bench facade (it moved into `spottune_core::campaign`).
@@ -34,7 +33,7 @@ pub fn standard_scenario(seed: u64) -> MarketScenario {
 }
 
 /// [`run_campaigns_with_estimator`] with the default `oracle(0.9)` spec —
-/// the figure binaries' thin-client path.
+/// the figure binaries' entry point.
 pub fn run_campaigns(
     tasks: Vec<(Approach, Workload)>,
     scenario: MarketScenario,
@@ -43,10 +42,10 @@ pub fn run_campaigns(
     run_campaigns_with_estimator(tasks, scenario, seed, EstimatorSpec::default())
 }
 
-/// Runs a set of (approach, workload) campaigns through a sharded
-/// [`CampaignServer`] worker pool (one worker per core), preserving input
-/// order in the output. The server shares the scenario's market pool, the
-/// training-curve memo and — for learned estimator specs — the trained
+/// Runs a set of (approach, workload) campaigns in process as one
+/// [`BatchRunner::run_many`] batch (one worker thread per core), preserving
+/// input order in the output. The batch shares the scenario's market pool,
+/// the training-curve memo and — for learned estimator specs — the trained
 /// predictor set across all campaigns, and its reports are bit-identical
 /// to running each campaign serially.
 pub fn run_campaigns_with_estimator(
@@ -68,19 +67,13 @@ pub fn run_campaigns_with_estimator(
         })
         .collect();
     // Share the process-wide curve memo and predictor tier: figure
-    // binaries interleave server sweeps with direct TrainingRun
-    // evaluation (e.g. fig08's accuracy grid) and call this client once
+    // binaries interleave these batches with direct TrainingRun
+    // evaluation (e.g. fig08's accuracy grid) and call this helper once
     // per batch, so both sides replay each other's curves and a learned
     // predictor trains once per process, not once per call.
-    let server = CampaignServer::start_with_tiers(
-        ServerConfig::default(),
-        PoolCache::new(),
-        CurveCache::global(),
-        PredictorCache::global(),
-    );
-    let responses = server.run_sweep(requests);
-    server.shutdown();
-    responses.into_iter().map(|r| r.report).collect()
+    BatchRunner::new()
+        .with_tiers(PoolCache::new(), SpineCache::new(), CurveCache::global(), PredictorCache::global())
+        .run_many(&requests)
 }
 
 /// Prints a CSV-ish header + rows helper used by the figure binaries.

@@ -19,14 +19,12 @@
 //! [`CampaignRequest::run_serial`] is the reference the suites compare
 //! against, not an alternative sweep path.
 //!
-//! Work is shared at *cohort* granularity. A group's requests are cut into
-//! [`COHORT_WIDTH`] cohorts in submission order; worker threads first claim
-//! whole unstarted groups (so cold builds of distinct scenarios land on
-//! distinct threads) and, once every group has an owner, join the groups
-//! still running and claim their remaining cohorts, each worker through a
-//! [`GroupSession`] of its own. A sweep over a single scenario therefore
-//! uses every core. Which thread runs a cohort, and in what order cohorts
-//! finish, is unspecified; what a cohort *contains* never depends on it.
+//! Work is shared at *cohort* granularity through one [`CohortPlan`] per
+//! sweep. Its claimers (`run_many`'s threads, the server's workers) first
+//! claim whole unstarted groups, then join the groups still running and
+//! claim their remaining cohorts, each through a [`GroupSession`] of its
+//! own, so a one-scenario sweep uses every core. Which claimer runs a
+//! cohort is unspecified; what a cohort *contains* never depends on it.
 //!
 //! The batched path is *bit-identical* to the serial reference: the spine
 //! mirrors [`spottune_market::PriceTrace::first_exceed`] exactly, predictor
@@ -56,11 +54,10 @@ use std::sync::{Arc, OnceLock};
 /// Counter snapshot of one [`BatchRunner`]'s lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
-    /// [`GroupSession`]s opened. [`BatchRunner::run_many`] opens one per
-    /// (worker thread, scenario group) pair in which the worker ran at least
-    /// one cohort: exactly one per group on a single thread, at most
-    /// `threads` per group otherwise. Direct [`BatchRunner::session`] calls
-    /// (the server's worker loop) count one each.
+    /// [`GroupSession`]s opened. A [`CohortPlan`] claimer opens one per
+    /// scenario group in which it ran at least one cohort: exactly one per
+    /// group with a single claimer, at most one per claimer and group
+    /// otherwise.
     pub groups: u64,
     /// Campaigns executed through the batched path.
     pub campaigns: u64,
@@ -198,8 +195,8 @@ impl BatchRunner {
     }
 
     /// Opens a session over one scenario: pool and spine resolved once,
-    /// scratch and memo tables empty. The server's worker loop drives this
-    /// directly so a group streams responses as cohorts finish.
+    /// scratch and memo tables empty. [`CohortPlan::claim`] opens one per
+    /// group a claimer runs cohorts of.
     pub fn session(&self, scenario: MarketScenario) -> GroupSession<'_> {
         let pool = self.pools.get(scenario);
         let spine = self.spines.get(scenario, &pool);
@@ -217,13 +214,12 @@ impl BatchRunner {
         }
     }
 
-    /// Runs every request, batched: grouped by scenario, each group cut
-    /// into [`COHORT_WIDTH`] cohorts in submission order, cohorts shared
-    /// over up to [`BatchRunner::threads`] workers (see the module docs),
-    /// reports returned in *request order* (index `i` of the result is the
-    /// report of `requests[i]`). Every cohort runs through
-    /// [`GroupSession::run_cohort`]; for every thread count the report
-    /// vector is bit-identical.
+    /// Runs every request, batched: one [`CohortPlan`] over the slice,
+    /// claimed by up to [`BatchRunner::threads`] workers (the calling
+    /// thread is one of them), reports returned in *request order* (index
+    /// `i` of the result is the report of `requests[i]`). Every cohort runs
+    /// through [`GroupSession::run_cohort`]; for every thread count the
+    /// report vector is bit-identical.
     ///
     /// # Panics
     ///
@@ -231,18 +227,16 @@ impl BatchRunner {
     /// resurfaces here with its original payload once the other workers
     /// have run out of cohorts.
     pub fn run_many(&self, requests: &[CampaignRequest]) -> Vec<HptReport> {
-        let mut by_scenario: BTreeMap<MarketScenario, Vec<usize>> = BTreeMap::new();
-        for (i, req) in requests.iter().enumerate() {
-            by_scenario.entry(req.scenario).or_default().push(i);
-        }
-        let groups: Vec<GroupWork> = by_scenario
-            .into_iter()
-            .map(|(scenario, idxs)| GroupWork { scenario, idxs, next_cohort: AtomicUsize::new(0) })
-            .collect();
-        let cohorts: usize = groups.iter().map(|g| g.idxs.len().div_ceil(COHORT_WIDTH)).sum();
-        let workers = self.threads.min(cohorts).max(1);
-        let next_group = AtomicUsize::new(0);
-        let work = || self.work(requests, &groups, &next_group);
+        let plan = CohortPlan::new(requests);
+        let workers = self.threads.min(plan.len()).max(1);
+        let work = || {
+            let mut out = Vec::new();
+            plan.claim(self, |session, idxs| {
+                let cohort: Vec<&CampaignRequest> = idxs.iter().map(|&i| &requests[i]).collect();
+                out.extend(idxs.iter().copied().zip(session.run_cohort(&cohort)));
+            });
+            out
+        };
         let per_worker: Vec<Vec<(usize, HptReport)>> = std::thread::scope(|scope| {
             let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
             let mut per_worker = vec![work()];
@@ -264,47 +258,6 @@ impl BatchRunner {
         out.into_iter().map(|r| r.expect("every request produces a report")).collect()
     }
 
-    /// One worker of a [`BatchRunner::run_many`] call. Whole unstarted
-    /// groups first — distinct scenarios' cold pool, spine and predictor
-    /// builds land on distinct threads — then every group again, to help
-    /// with whatever cohorts its owner has not claimed yet.
-    fn work(
-        &self,
-        requests: &[CampaignRequest],
-        groups: &[GroupWork],
-        next_group: &AtomicUsize,
-    ) -> Vec<(usize, HptReport)> {
-        let mut out = Vec::new();
-        while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
-            self.drain(group, requests, &mut out);
-        }
-        for group in groups {
-            self.drain(group, requests, &mut out);
-        }
-        out
-    }
-
-    /// Claims and runs cohorts of `group` until none is left, through a
-    /// session opened on the first successful claim (a worker that arrives
-    /// after the last claim opens nothing).
-    fn drain(
-        &self,
-        group: &GroupWork,
-        requests: &[CampaignRequest],
-        out: &mut Vec<(usize, HptReport)>,
-    ) {
-        let mut session = None;
-        while let Some(chunk) = group
-            .idxs
-            .chunks(COHORT_WIDTH)
-            .nth(group.next_cohort.fetch_add(1, Ordering::Relaxed))
-        {
-            let session = session.get_or_insert_with(|| self.session(group.scenario));
-            let cohort: Vec<&CampaignRequest> = chunk.iter().map(|&i| &requests[i]).collect();
-            out.extend(chunk.iter().copied().zip(session.run_cohort(&cohort)));
-        }
-    }
-
     /// Counter snapshot across every session this runner (and its clones)
     /// ever opened.
     pub fn stats(&self) -> BatchStats {
@@ -324,17 +277,82 @@ impl BatchRunner {
     }
 }
 
-/// One scenario group of a [`BatchRunner::run_many`] call: its request
-/// indices in submission order and the cursor workers claim
-/// `idxs.chunks(COHORT_WIDTH)` positions from. The indices are shared, never
-/// copied per worker. Like the group cursor, `next_cohort` only hands out
-/// positions (hence `Relaxed`): it publishes no data — everything reached
-/// through a position is immutable for the whole call, and reports travel
-/// back through the workers' `join`.
-struct GroupWork {
+/// The cohort cut of one request slice: indices grouped by
+/// [`MarketScenario`] (in `MarketScenario` order, submission order inside a
+/// group), each group cut into [`COHORT_WIDTH`] cohorts, so only a group's
+/// last cohort can be ragged. [`CohortPlan::claim`] hands every cohort to
+/// exactly one of any number of concurrent claimers — `run_many`'s threads,
+/// the server's workers — so all of them stage the same cohorts.
+#[derive(Debug)]
+pub struct CohortPlan {
+    groups: Vec<PlanGroup>,
+    next_group: AtomicUsize,
+}
+
+/// One scenario group of a [`CohortPlan`] and the cursor claimers take
+/// `idxs.chunks(COHORT_WIDTH)` positions from. Both cursors only hand out
+/// positions (hence `Relaxed`): everything a position reaches is immutable
+/// for the plan's lifetime, and results travel back through each claimer.
+#[derive(Debug)]
+struct PlanGroup {
     scenario: MarketScenario,
     idxs: Vec<usize>,
     next_cohort: AtomicUsize,
+}
+
+impl CohortPlan {
+    /// Groups `requests` by scenario and cuts each group into cohorts.
+    pub fn new(requests: &[CampaignRequest]) -> Self {
+        let mut by_scenario: BTreeMap<MarketScenario, Vec<usize>> = BTreeMap::new();
+        for (i, req) in requests.iter().enumerate() {
+            by_scenario.entry(req.scenario).or_default().push(i);
+        }
+        let groups = by_scenario
+            .into_iter()
+            .map(|(scenario, idxs)| PlanGroup { scenario, idxs, next_cohort: AtomicUsize::new(0) })
+            .collect();
+        CohortPlan { groups, next_group: AtomicUsize::new(0) }
+    }
+
+    /// Every cohort in plan order, as its scenario and its request indices.
+    /// Claiming does not change it.
+    pub fn cohorts(&self) -> impl Iterator<Item = (MarketScenario, &[usize])> + '_ {
+        self.groups.iter().flat_map(|g| g.idxs.chunks(COHORT_WIDTH).map(move |c| (g.scenario, c)))
+    }
+
+    /// Number of cohorts.
+    pub fn len(&self) -> usize {
+        self.groups.iter().map(|group| group.idxs.len().div_ceil(COHORT_WIDTH)).sum()
+    }
+
+    /// Whether the plan has no cohort (its request slice was empty).
+    pub fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// Claims cohorts and hands each to `run`, with this claimer's session
+    /// for the cohort's group, until none is left. Whole unstarted groups
+    /// come first (distinct scenarios' cold builds land on distinct
+    /// claimers), then every group again for cohorts its owner has not
+    /// claimed yet. A session opens through `runner` on a claimer's first
+    /// successful claim in a group, so a late claimer opens nothing.
+    pub fn claim(
+        &self,
+        runner: &BatchRunner,
+        mut run: impl FnMut(&mut GroupSession<'_>, &[usize]),
+    ) {
+        let mut drain = |group: &PlanGroup| {
+            let mut session = None;
+            let next = || group.next_cohort.fetch_add(1, Ordering::Relaxed);
+            while let Some(cohort) = group.idxs.chunks(COHORT_WIDTH).nth(next()) {
+                run(session.get_or_insert_with(|| runner.session(group.scenario)), cohort);
+            }
+        };
+        while let Some(group) = self.groups.get(self.next_group.fetch_add(1, Ordering::Relaxed)) {
+            drain(group);
+        }
+        self.groups.iter().for_each(drain);
+    }
 }
 
 /// A group-resident estimator, built at most once per `(spec)` per session.

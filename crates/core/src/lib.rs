@@ -57,7 +57,7 @@ pub use baseline::{
     SingleSpotKind,
 };
 pub use arena::{EngineScratch, JobArena};
-pub use batch::{BatchRunner, BatchStats, GroupSession};
+pub use batch::{BatchRunner, BatchStats, CohortPlan, GroupSession};
 pub use campaign::{Approach, CampaignRequest, CampaignResponse};
 pub use config::{DriveMode, SpotTuneConfig};
 pub use engine::{Engine, TraceEvent};
@@ -78,7 +78,7 @@ pub mod prelude {
         SingleSpotKind,
     };
     pub use crate::arena::{EngineScratch, JobArena};
-    pub use crate::batch::{BatchRunner, BatchStats, GroupSession};
+    pub use crate::batch::{BatchRunner, BatchStats, CohortPlan, GroupSession};
     pub use crate::campaign::{Approach, CampaignRequest, CampaignResponse};
     pub use crate::config::{DriveMode, SpotTuneConfig};
     pub use crate::engine::{Engine, TraceEvent};

@@ -28,12 +28,12 @@
 //!   observable: [`ServerStats`] carries the live queue depth, its
 //!   high-water mark and the rejected/overloaded/expired/drained
 //!   counters.
-//! * **Execution** — a sweep ([`CampaignServer::submit_sweep`]) is grouped
-//!   by market scenario and cut into whole-cohort chunks; a worker runs a
-//!   chunk in [`spottune_core::COHORT_WIDTH`] cohorts through one
-//!   [`spottune_core::GroupSession`] (pool, spine and predictors resolved
-//!   once, SoA lanes, one lane-kernel pass per cohort). That is the only
-//!   sweep path. A lone [`CampaignServer::try_submit`] request runs the
+//! * **Execution** — a sweep ([`CampaignServer::submit_sweep`]) is one
+//!   [`spottune_core::CohortPlan`], claimed by up to one worker per cohort
+//!   exactly as `BatchRunner::run_many` claims it, each worker through a
+//!   [`spottune_core::GroupSession`] per group (pool, spine and predictors
+//!   resolved once, SoA lanes, one lane-kernel pass per cohort). That is the
+//!   only sweep path. A lone [`CampaignServer::try_submit`] request runs the
 //!   scalar engine directly — the same code as the `run_serial` reference.
 //! * **Streaming** — every submission (single request or sweep) carries its
 //!   own reply channel; [`CampaignResponse`]s stream back in *completion*
@@ -83,11 +83,10 @@
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use serde::{Deserialize, Serialize};
-use spottune_core::{BatchRunner, CampaignRequest, CampaignResponse};
-use spottune_market::{CacheStats, MarketScenario, PoolCache, SpineCache};
+use spottune_core::{BatchRunner, CampaignRequest, CampaignResponse, CohortPlan};
+use spottune_market::{CacheStats, PoolCache, SpineCache};
 use spottune_mlsim::CurveCache;
 use spottune_revpred::PredictorCache;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -187,7 +186,7 @@ pub struct ServerStats {
     /// campaign — non-zero whenever a sweep ran (the CI sweep-throughput
     /// check asserts this).
     pub spine_queries: u64,
-    /// Scenario-group sessions opened by sweeps (one per work item).
+    /// Sessions opened by sweeps: one per (worker, group) that ran a cohort.
     pub batched_groups: u64,
     /// Cross-campaign lane-kernel passes executed by sweep cohorts (zero
     /// until a transient campaign of a sweep extrapolates; lone
@@ -210,11 +209,12 @@ pub struct ServerStats {
     pub migrations: u64,
     /// Configured request-queue capacity (`0` = unbounded).
     pub queue_capacity: u64,
-    /// Requests currently queued and not yet picked up by a worker.
+    /// Work items currently queued and not yet picked up by a worker: one
+    /// per lone request, at most `workers` per sweep.
     pub queue_depth: u64,
-    /// High-water mark of [`queue_depth`](Self::queue_depth) over the
-    /// server's lifetime; with a bounded queue this never exceeds
-    /// [`queue_capacity`](Self::queue_capacity).
+    /// High-water mark of [`queue_depth`](Self::queue_depth) (work items,
+    /// not requests) over the server's lifetime; with a bounded queue this
+    /// never exceeds [`queue_capacity`](Self::queue_capacity).
     pub peak_queue_depth: u64,
     /// Requests refused by validation on the checked submission paths.
     pub rejected: u64,
@@ -346,8 +346,8 @@ pub enum WorkOutcome {
 /// What one queue slot carries. Which variant is built follows from what
 /// the server observes — a lone deadline-aware submission or a sweep —
 /// never from an option, and the ledger measures both sides: the `wire_*`
-/// workloads ride `Single`; `Group` runs the `run_cohort` the `sweep_*`
-/// workloads time, and `server.inproc_sweep_per_s` times `Group` itself.
+/// workloads ride `Single`; `Sweep` runs the `run_cohort` the `sweep_*`
+/// workloads time, and `server.inproc_sweep_per_s` times `Sweep` itself.
 enum WorkPayload {
     /// One campaign from [`CampaignServer::try_submit`], run by
     /// [`CampaignRequest::run_with_tiers`] — the function
@@ -368,9 +368,16 @@ enum WorkPayload {
         deadline: Option<Instant>,
         reply: Sender<WorkOutcome>,
     },
-    /// A same-scenario chunk of a sweep; the worker opens one
-    /// [`GroupSession`](spottune_core::GroupSession) for the whole chunk.
-    Group { requests: Vec<CampaignRequest>, reply: Sender<CampaignResponse> },
+    /// One of at most `workers` handles on a sweep; the worker that
+    /// dequeues it claims the sweep's [`CohortPlan`] until it is exhausted.
+    Sweep(Arc<Sweep>),
+}
+
+/// A sweep; its reply stream disconnects when the last handle drops.
+struct Sweep {
+    requests: Vec<CampaignRequest>,
+    plan: CohortPlan,
+    reply: Sender<CampaignResponse>,
 }
 
 /// Graceful-degradation counters accumulated from every completed
@@ -428,7 +435,7 @@ pub struct CampaignServer {
     curves: CurveCache,
     predictors: PredictorCache,
     spines: SpineCache,
-    /// Shared-tier batched executor the workers drive sweep chunks
+    /// Shared-tier batched executor the workers claim sweep plans
     /// through; its counters feed the `batched_groups`, `spine_queries`
     /// and lane stats.
     runner: BatchRunner,
@@ -543,38 +550,17 @@ impl CampaignServer {
             return reply_rx;
         };
         self.submitted.fetch_add(requests.len() as u64, Ordering::Relaxed);
-        // Group by scenario, chunk each group so the sweep still shards
-        // across the pool (≈4 chunks per worker), and enqueue whole chunks.
-        // A worker resolves each chunk's pool/spine/predictors once and
-        // reuses its engine scratch across it — bit-identical to
-        // `run_serial` (locked by the core batch_equivalence suite). A
-        // chunk of more than one cohort is rounded up to whole cohorts, so
-        // only a group's last chunk can end ragged — the same cohorts, lane
-        // slots and occupancy as `BatchRunner::run_many` over the same
-        // requests. Sweeps too small for that keep their sub-cohort chunks:
-        // there, keeping every worker busy is worth more than full lanes.
-        let mut chunk = requests.len().div_ceil(self.workers.len().max(1) * 4).max(1);
-        if chunk > spottune_core::COHORT_WIDTH {
-            chunk = chunk.next_multiple_of(spottune_core::COHORT_WIDTH);
-        }
-        let mut groups: BTreeMap<MarketScenario, Vec<CampaignRequest>> = BTreeMap::new();
-        for request in requests {
-            groups.entry(request.scenario).or_default().push(request);
-        }
-        'groups: for (_, mut group) in groups {
-            while !group.is_empty() {
-                let rest = group.split_off(group.len().min(chunk));
-                let requests = std::mem::replace(&mut group, rest);
-                let item = WorkPayload::Group { requests, reply: reply_tx.clone() };
-                if req_tx.send(item).is_err() {
-                    break 'groups;
-                }
-                self.queue.note_enqueued(self.queue_probe.len() as u64);
+        // One plan — the cohorts `BatchRunner::run_many` stages over the
+        // same requests — claimed by as many workers as it has cohorts.
+        let plan = CohortPlan::new(&requests);
+        let claimers = self.workers.len().min(plan.len());
+        let sweep = Arc::new(Sweep { requests, plan, reply: reply_tx });
+        for _ in 0..claimers {
+            if req_tx.send(WorkPayload::Sweep(Arc::clone(&sweep))).is_err() {
+                break;
             }
+            self.queue.note_enqueued(self.queue_probe.len() as u64);
         }
-        // Workers hold the only remaining clones: the stream disconnects
-        // exactly when the sweep's last response has been sent.
-        drop(reply_tx);
         reply_rx
     }
 
@@ -745,8 +731,8 @@ impl Drop for CampaignServer {
 /// tiers, stream each response back on the submission's reply channel. A
 /// lone request resolves its pool and estimator itself (learned specs go
 /// through the trained-predictor tier, so each `(scenario, kind)` trains at
-/// most once); a sweep chunk runs in cohorts through one
-/// [`GroupSession`](spottune_core::GroupSession).
+/// most once); a sweep handle claims cohorts of the sweep's [`CohortPlan`],
+/// one [`GroupSession`](spottune_core::GroupSession) per group.
 ///
 /// Campaign panics (a malformed wire request — NaN θ, empty grid — hitting
 /// a validation assert) are confined to the request: the worker drops that
@@ -776,31 +762,26 @@ fn worker_loop(rx: &Receiver<WorkPayload>, shared: &WorkerShared) {
                     Err(_) => drop_panicked(id),
                 }
             }
-            WorkPayload::Group { requests, reply } => {
-                let Some(first) = requests.first() else {
-                    continue;
-                };
-                // One session for the whole chunk: pool and spine resolved
-                // once, estimators and SPE tables memoized, engine scratch
-                // reused across every cohort.
-                let mut session = shared.runner.session(first.scenario);
-                // Runs one cohort and streams its reports; `false` if a
-                // campaign panicked (nothing was reported).
-                let mut run = |cohort: &[CampaignRequest]| {
-                    let refs: Vec<&CampaignRequest> = cohort.iter().collect();
-                    let Ok(reports) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || session.run_cohort(&refs),
-                    )) else {
-                        return false;
+            WorkPayload::Sweep(sweep) => {
+                let Sweep { requests, plan, reply } = &*sweep;
+                plan.claim(&shared.runner, |session, cohort| {
+                    // Runs the cohort at `idxs` and streams its reports;
+                    // `false` if a campaign panicked (nothing was reported).
+                    let mut run = |idxs: &[usize]| {
+                        let refs: Vec<&CampaignRequest> =
+                            idxs.iter().map(|&i| &requests[i]).collect();
+                        let Ok(reports) = std::panic::catch_unwind(
+                            std::panic::AssertUnwindSafe(|| session.run_cohort(&refs)),
+                        ) else {
+                            return false;
+                        };
+                        for (request, report) in refs.iter().zip(reports) {
+                            let _ = reply.send(shared.settle(request.id, report));
+                        }
+                        true
                     };
-                    for (request, report) in cohort.iter().zip(reports) {
-                        let _ = reply.send(shared.settle(request.id, report));
-                    }
-                    true
-                };
-                for cohort in requests.chunks(spottune_core::COHORT_WIDTH) {
                     if run(cohort) {
-                        continue;
+                        return;
                     }
                     // A panicking campaign aborts its whole cohort before
                     // any report exists. The session re-prepares its scratch
@@ -810,10 +791,10 @@ fn worker_loop(rx: &Receiver<WorkPayload>, shared: &WorkerShared) {
                     // one has had its run.)
                     for lone in cohort.chunks(1) {
                         if cohort.len() == 1 || !run(lone) {
-                            drop_panicked(lone[0].id);
+                            drop_panicked(requests[lone[0]].id);
                         }
                     }
-                }
+                });
             }
         }
     }
@@ -901,10 +882,11 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, (0..12).collect::<Vec<_>>());
         let stats = server.stats();
-        // One scenario, twelve campaigns: eleven pool-tier hits.
+        // One scenario, twelve campaigns: one pool build, one pool lookup
+        // per session the sweep opened.
         assert_eq!(stats.resident_pools, 1);
-        assert_eq!(stats.pool_cache.hits, 11);
         assert_eq!(stats.pool_cache.misses, 1);
+        assert_eq!(stats.pool_cache.lookups(), stats.batched_groups);
         assert_eq!(stats.workers, 4);
         server.shutdown();
     }
@@ -940,16 +922,17 @@ mod tests {
     #[test]
     fn predictor_tier_trains_once_for_a_shared_scenario() {
         let server = CampaignServer::start(ServerConfig::with_workers(2));
-        // Two learned-spec requests over the same scenario: one training,
-        // one tier hit. (Logistic is the cheap family; the LSTM kinds go
-        // through exactly the same tier path.)
+        // Two sweeps of learned-spec requests over the same scenario: one
+        // training, then a tier hit for the second sweep. (Logistic is the
+        // cheap family; the LSTM kinds go through exactly the same tier
+        // path.)
         let mut requests: Vec<CampaignRequest> = (0..2).map(request).collect();
         for req in &mut requests {
             req.approach = Approach::SpotTune { theta: 0.7 };
             req.estimator = EstimatorSpec::Logistic;
         }
-        let responses = server.run_sweep(requests);
-        assert_eq!(responses.len(), 2);
+        assert_eq!(server.run_sweep(requests.clone()).len(), 2);
+        assert_eq!(server.run_sweep(requests).len(), 2);
         let stats = server.stats();
         assert_eq!(stats.predictor_cache.misses, 1, "{:?}", stats.predictor_cache);
         assert!(stats.predictor_cache.hits > 0, "{:?}", stats.predictor_cache);
@@ -1157,12 +1140,12 @@ mod tests {
     #[test]
     fn panicking_campaign_does_not_strand_queued_requests() {
         let server = CampaignServer::start(ServerConfig::with_workers(1));
-        // One scenario, 44 requests on one worker: work items of 16, 16 and
-        // 12, the last a full cohort (ids 32..40) plus a remainder of four.
-        // NaN θ fails SpotTuneConfig validation inside the campaign and
-        // aborts that full cohort mid-staging; its seven cohort-mates re-run
-        // as cohorts of one and the remainder cohort follows on the same
-        // session.
+        // One scenario, 44 requests on one worker: one plan of five full
+        // cohorts and a remainder of four (ids 40..44), all claimed through
+        // one session. NaN θ fails SpotTuneConfig validation inside the
+        // campaign and aborts the full cohort 32..40 mid-staging; its seven
+        // cohort-mates re-run as cohorts of one and the remainder cohort
+        // follows on the same session.
         let mut requests: Vec<CampaignRequest> = (0..44).map(request).collect();
         for req in requests.iter_mut().step_by(2) {
             req.approach = Approach::SpotTune { theta: 0.7 };
@@ -1181,7 +1164,7 @@ mod tests {
             assert_eq!(response.report, request.run_serial(&pool, &CurveCache::new()));
         }
         let stats = server.stats();
-        assert_eq!((stats.completed, stats.batched_groups), (43, 3), "{stats:?}");
+        assert_eq!((stats.completed, stats.batched_groups), (43, 1), "{stats:?}");
         server.shutdown();
     }
 }

@@ -4,6 +4,7 @@
 //! shared tiers and completion-order scheduling change wall-clock, never
 //! results — and the cross-request curve-memo tier actually gets hits.
 
+use crossbeam::channel::TryRecvError;
 use spottune_core::prelude::*;
 use spottune_market::{EstimatorSpec, MarketScenario};
 use spottune_mlsim::prelude::*;
@@ -59,9 +60,8 @@ fn sweep_1000_is_bit_identical_to_serial_with_memo_hits() {
     // Two scenarios serve a thousand campaigns.
     assert_eq!(stats.resident_pools, 2);
     assert_eq!(stats.resident_spines, 2);
-    // A sweep resolves its pool and spine once per scenario *chunk*, not
-    // once per campaign: one build per scenario, one lookup per group
-    // session.
+    // A sweep resolves its pool and spine once per group session, not
+    // once per campaign: one build per scenario, one lookup per session.
     assert_eq!(stats.pool_cache.misses, 2);
     assert_eq!(stats.spine_cache.misses, 2);
     assert!(stats.batched_groups > 0, "sweeps run through group sessions");
@@ -78,7 +78,7 @@ fn sweep_1000_is_bit_identical_to_serial_with_memo_hits() {
         stats.curve_cache
     );
 
-    // Chunks are staged through SoA cohorts; the sweep's transient
+    // Sessions stage SoA cohorts; the sweep's transient
     // campaigns must actually cross the lane kernel.
     assert!(stats.kernel_invocations > 0, "sweep cohorts must invoke the lane kernel");
     assert!(stats.lane_jobs > 0 && stats.lane_slots >= stats.lane_jobs);
@@ -101,34 +101,56 @@ fn sweep_1000_is_bit_identical_to_serial_with_memo_hits() {
     }
 }
 
-/// Server sweep chunks are whole cohorts: a 1 000-campaign one-scenario
-/// sweep stages exactly the cohorts `BatchRunner::run_many` stages over
-/// the same requests — same kernel passes, lane slots and lane jobs (an
-/// unaligned chunk, e.g. 125 requests on 2 workers, would end every work
-/// item in a ragged cohort and pad extra lane slots) — and agrees with it
-/// bit for bit.
+/// A server sweep and `BatchRunner::run_many` claim one `CohortPlan`, so
+/// at every sweep size and worker count the server stages exactly
+/// `run_many`'s cohorts over the same requests — same kernel passes, lane
+/// slots and lane jobs — and agrees with it bit for bit. The sizes
+/// straddle the cohort width (1, 5, 8, 9), stay below four cohorts per
+/// worker (12, 44), and reach 1 000 campaigns on one scenario; an empty
+/// sweep's stream disconnects at once and counts nothing.
 #[test]
-fn one_scenario_sweep_stages_the_same_cohorts_as_run_many() {
-    let scenario = MarketScenario::from_days(1, 42);
-    let requests: Vec<CampaignRequest> =
-        sweep_requests().into_iter().map(|r| CampaignRequest { scenario, ..r }).collect();
-    assert_eq!(requests.len(), 1000);
-
-    let runner = BatchRunner::new();
-    let reports = runner.run_many(&requests);
-    let want = runner.stats();
-    assert!(want.lane_jobs > 0, "the sweep must cross the lane kernel");
-
-    for workers in [2, 3] {
-        let server = CampaignServer::start(ServerConfig::with_workers(workers));
-        let responses = server.run_sweep(requests.clone());
-        let stats = server.stats();
-        server.shutdown();
-        assert_eq!(stats.lane_slots, want.lane_slots, "{workers} workers");
-        assert_eq!(stats.lane_jobs, want.lane_jobs, "{workers} workers");
-        assert_eq!(stats.kernel_invocations, want.kernel_invocations, "{workers} workers");
-        for (response, report) in responses.iter().zip(&reports) {
-            assert_eq!(response.report, *report, "request {}", response.id);
+fn every_sweep_size_stages_the_same_cohorts_as_run_many() {
+    let base = sweep_requests();
+    let one = [MarketScenario::from_days(1, 42)];
+    let three = [one[0], MarketScenario::from_days(1, 77), MarketScenario::from_days(1, 91)];
+    for size in [0, 1, 5, 8, 9, 12, 44, 1000] {
+        for scenarios in [&one[..], &three[..]] {
+            // 1 000 campaigns run on one scenario only: three scenarios
+            // add nothing there that the small sizes do not cover.
+            if size == 1000 && scenarios.len() > 1 {
+                continue;
+            }
+            let requests: Vec<CampaignRequest> = base[..size]
+                .iter()
+                .enumerate()
+                .map(|(i, r)| CampaignRequest { scenario: scenarios[i % scenarios.len()], ..r.clone() })
+                .collect();
+            let runner = BatchRunner::new();
+            let reports = runner.run_many(&requests);
+            let want = runner.stats();
+            assert_eq!(want.lane_jobs > 0, size > 0, "the sweep must cross the lane kernel");
+            for workers in [1, 2, 3] {
+                let label = format!("{size} requests, {} scenarios, {workers} workers", scenarios.len());
+                let server = CampaignServer::start(ServerConfig::with_workers(workers));
+                if size == 0 {
+                    let stream = server.submit_sweep(Vec::new());
+                    assert!(
+                        matches!(stream.try_recv(), Err(TryRecvError::Disconnected)),
+                        "{label}: an empty sweep's stream disconnects at once"
+                    );
+                }
+                let responses = server.run_sweep(requests.clone());
+                let stats = server.stats();
+                server.shutdown();
+                assert_eq!(stats.submitted, size as u64, "{label}");
+                assert_eq!(stats.lane_slots, want.lane_slots, "{label}");
+                assert_eq!(stats.lane_jobs, want.lane_jobs, "{label}");
+                assert_eq!(stats.kernel_invocations, want.kernel_invocations, "{label}");
+                assert_eq!(responses.len(), reports.len(), "{label}");
+                for (response, report) in responses.iter().zip(&reports) {
+                    assert_eq!(response.report, *report, "{label}: request {}", response.id);
+                }
+            }
         }
     }
 }
