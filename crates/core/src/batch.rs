@@ -13,11 +13,12 @@
 //!
 //! There is one way a sweep executes: [`GroupSession::run_cohort`], which
 //! stages up to [`COHORT_WIDTH`] campaigns through the SoA lanes
-//! ([`crate::soa`]) and one cross-campaign lane-kernel pass, with learned
-//! estimators behind the probe memo; within a session a lone campaign is
-//! a cohort of one. The scalar [`Engine::run`] behind
-//! [`CampaignRequest::run_serial`] is the reference the suites compare
-//! against, not an alternative sweep path.
+//! ([`crate::soa`]) and one cross-campaign lane-kernel pass; within a
+//! session a lone campaign is a cohort of one. A learned estimator is the
+//! predictor tier's trained set itself, whose probe memo every session,
+//! thread and lone request over that set shares. The scalar
+//! [`Engine::run`] behind [`CampaignRequest::run_serial`] is the reference
+//! the suites compare against, not an alternative sweep path.
 //!
 //! Work is shared at *cohort* granularity through one [`CohortPlan`] per
 //! sweep. Its claimers (`run_many`'s threads, the server's workers) first
@@ -46,7 +47,7 @@ use spottune_market::{
     PoolSpine, RevocationEstimator, SpineCache,
 };
 use spottune_mlsim::{CurveCache, Workload};
-use spottune_revpred::{PredictorCache, PredictorKind, ProbeCachedPredictors};
+use spottune_revpred::{PredictorCache, PredictorKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -81,10 +82,13 @@ pub struct BatchStats {
     pub lane_slots: u64,
     /// Jobs whose final-metric extrapolation ran through kernel lanes.
     pub lane_jobs: u64,
-    /// Probe-context memo hits across the SoA path's learned estimators
-    /// (each hit skips one full sample assembly).
+    /// Probe-context memo hits summed over the resident trained sets
+    /// (each hit skips one full sample assembly). Every holder of a set
+    /// counts — other sessions, other runners on the same tiers, the
+    /// server's lone requests — and an evicted set's counts are gone.
     pub probe_hits: u64,
-    /// Probe-context memo misses (one sample assembly + context build each).
+    /// Probe-context memo misses (one sample assembly + context build
+    /// each), summed like [`BatchStats::probe_hits`].
     pub probe_misses: u64,
 }
 
@@ -104,8 +108,6 @@ struct BatchCounters {
     kernel_invocations: AtomicU64,
     lane_slots: AtomicU64,
     lane_jobs: AtomicU64,
-    probe_hits: AtomicU64,
-    probe_misses: AtomicU64,
 }
 
 /// Shared-tier batched campaign executor.
@@ -261,6 +263,7 @@ impl BatchRunner {
     /// Counter snapshot across every session this runner (and its clones)
     /// ever opened.
     pub fn stats(&self) -> BatchStats {
+        let probes = self.predictors.resident_probe_stats();
         BatchStats {
             groups: self.counters.groups.load(Ordering::Relaxed),
             campaigns: self.counters.campaigns.load(Ordering::Relaxed),
@@ -271,8 +274,8 @@ impl BatchRunner {
             kernel_invocations: self.counters.kernel_invocations.load(Ordering::Relaxed),
             lane_slots: self.counters.lane_slots.load(Ordering::Relaxed),
             lane_jobs: self.counters.lane_jobs.load(Ordering::Relaxed),
-            probe_hits: self.counters.probe_hits.load(Ordering::Relaxed),
-            probe_misses: self.counters.probe_misses.load(Ordering::Relaxed),
+            probe_hits: probes.hits,
+            probe_misses: probes.misses,
         }
     }
 }
@@ -355,26 +358,6 @@ impl CohortPlan {
     }
 }
 
-/// A group-resident estimator, built at most once per `(spec)` per session.
-enum GroupEstimator {
-    Oracle(OracleEstimator),
-    Constant(ConstantEstimator),
-    /// Learned predictors behind the `(market, t)`-keyed probe-context
-    /// memo (bit-identical probabilities, one sample assembly per distinct
-    /// probe site instead of one per probe).
-    Probed(ProbeCachedPredictors),
-}
-
-impl GroupEstimator {
-    fn as_dyn(&self) -> &dyn RevocationEstimator {
-        match self {
-            GroupEstimator::Oracle(e) => e,
-            GroupEstimator::Constant(e) => e,
-            GroupEstimator::Probed(e) => e,
-        }
-    }
-}
-
 /// One scenario group's execution state: the resolved pool and spine plus
 /// the memo tables ([`EstimatorSpec`] → built estimator, [`Workload`] →
 /// SPE table) and the reusable per-slot [`EngineScratch`]es.
@@ -387,9 +370,10 @@ pub struct GroupSession<'a> {
     scenario: MarketScenario,
     pool: MarketPool,
     spine: Arc<PoolSpine>,
-    /// Spec-keyed estimator memo; linear probe (a sweep uses a handful of
-    /// specs, and `EstimatorSpec` is a tiny `Copy` enum).
-    estimators: Vec<(EstimatorSpec, GroupEstimator)>,
+    /// Spec-keyed estimator memo, built at most once per spec; linear
+    /// probe (a sweep uses a handful of specs, and `EstimatorSpec` is a
+    /// tiny `Copy` enum).
+    estimators: Vec<(EstimatorSpec, Arc<dyn RevocationEstimator>)>,
     /// Workload-keyed per-market SPE tables shared across the group's
     /// engines via [`Engine::with_spe_means`].
     spe_memos: Vec<(Workload, Arc<SpeTable>)>,
@@ -404,21 +388,6 @@ pub struct GroupSession<'a> {
     lane_scratch: Vec<EngineScratch>,
     /// The cohort's SoA prediction barrier.
     lanes: JobLanes,
-}
-
-impl Drop for GroupSession<'_> {
-    /// Flushes the group's probe-memo counters into the runner (each
-    /// [`GroupEstimator::Probed`] is session-resident, so its lifetime
-    /// totals are this group's deltas).
-    fn drop(&mut self) {
-        for (_, estimator) in &self.estimators {
-            if let GroupEstimator::Probed(probed) = estimator {
-                let (hits, misses) = probed.probe_stats();
-                self.runner.counters.probe_hits.fetch_add(hits, Ordering::Relaxed);
-                self.runner.counters.probe_misses.fetch_add(misses, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 impl GroupSession<'_> {
@@ -463,7 +432,7 @@ impl GroupSession<'_> {
         let mut engines = Vec::with_capacity(reqs.len());
         let mut policies = Vec::with_capacity(reqs.len());
         for (req, &(est_idx, spe_idx, _)) in reqs.iter().zip(&resolved) {
-            let estimator = estimators[est_idx].1.as_dyn();
+            let estimator = estimators[est_idx].1.as_ref();
             let cfg = req.approach.config(req.seed);
             let policy = req.approach.build_policy(estimator, &cfg);
             let mut engine = Engine::new(cfg, req.workload.clone(), pool.clone())
@@ -532,26 +501,22 @@ impl GroupSession<'_> {
     /// Index of the memoized estimator for `spec`, building it on first
     /// use. Resolution mirrors [`CampaignRequest::run_with_tiers`] exactly:
     /// learned families train for this session's scenario (through the
-    /// shared predictor tier — a pure memo of `train_for_scenario`),
-    /// ground-truth specs are built from the pool. The oracle additionally
-    /// routes its trace lookups through the session spine, which answers
-    /// bit-identically to the linear scan.
+    /// shared predictor tier — a pure memo of `train_for_scenario` — and
+    /// probe through that set's memo), ground-truth specs are built from
+    /// the pool. The oracle additionally routes its trace lookups through
+    /// the session spine, which answers bit-identically to the linear scan.
     fn estimator_index(&mut self, spec: EstimatorSpec) -> usize {
         if let Some(i) = self.estimators.iter().position(|(s, _)| *s == spec) {
             return i;
         }
-        let built = match PredictorKind::from_spec(&spec) {
-            Some(kind) => GroupEstimator::Probed(ProbeCachedPredictors::new(
-                self.runner.predictors.get(kind, self.scenario, &self.pool),
-            )),
+        let built: Arc<dyn RevocationEstimator> = match PredictorKind::from_spec(&spec) {
+            Some(kind) => self.runner.predictors.get(kind, self.scenario, &self.pool),
             None => match spec {
-                EstimatorSpec::Oracle { confidence } => GroupEstimator::Oracle(
+                EstimatorSpec::Oracle { confidence } => Arc::new(
                     OracleEstimator::new(self.pool.clone(), confidence)
                         .with_spine(Arc::clone(&self.spine)),
                 ),
-                EstimatorSpec::Constant { p } => {
-                    GroupEstimator::Constant(ConstantEstimator::new(p))
-                }
+                EstimatorSpec::Constant { p } => Arc::new(ConstantEstimator::new(p)),
                 _ => unreachable!("learned specs resolve through PredictorKind::from_spec"),
             },
         };

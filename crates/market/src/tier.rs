@@ -42,6 +42,17 @@ impl CacheStats {
     }
 }
 
+/// Field-wise totals, for counters summed over several tiers.
+impl std::iter::Sum for CacheStats {
+    fn sum<I: Iterator<Item = CacheStats>>(iter: I) -> CacheStats {
+        iter.fold(CacheStats::default(), |a, s| CacheStats {
+            hits: a.hits + s.hits,
+            misses: a.misses + s.misses,
+            evictions: a.evictions + s.evictions,
+        })
+    }
+}
+
 /// A shared, thread-safe, single-flight memo from `K` to `V`.
 ///
 /// Cloning a tier clones a handle to the same storage and counters (a
@@ -245,5 +256,9 @@ mod tests {
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
         assert_eq!(stats.lookups(), 4);
+        let more = CacheStats { hits: 1, misses: 2, evictions: 5 };
+        let total: CacheStats = [stats, more].into_iter().sum();
+        assert_eq!(total, CacheStats { hits: 4, misses: 3, evictions: 5 });
+        assert_eq!(std::iter::empty().sum::<CacheStats>(), CacheStats::default());
     }
 }

@@ -80,86 +80,39 @@ impl Workload {
                 .map(|&v| HpValue::Text(v.to_string()))
                 .collect::<Vec<_>>()
         };
-        match algorithm {
-            Algorithm::LoR => Workload {
-                algorithm,
-                dataset: "epsilon-like (synthetic two-blob)",
-                optimizer: "Gradient Descent",
-                metric: "validation cross-entropy",
-                max_trial_steps: 200,
-                grid: expand_grid(&[
-                    GridAxis::new("bs", ints(&[128, 64])),
-                    GridAxis::new("lr", floats(&[1e-2, 1e-3])),
-                    GridAxis::new("dr", floats(&[1.0, 0.95])),
-                    GridAxis::new("ds", ints(&[50, 100])),
-                ]),
-            },
-            Algorithm::Svm => Workload {
-                algorithm,
-                dataset: "synthetic rings",
-                optimizer: "Gradient Descent",
-                metric: "validation hinge loss",
-                max_trial_steps: 400,
-                grid: expand_grid(&[
-                    GridAxis::new("bs", ints(&[128, 64])),
-                    GridAxis::new("lr", floats(&[1e-2, 1e-3])),
-                    GridAxis::new("dr", floats(&[1.0, 0.95])),
-                    GridAxis::new("kernel", texts(&["RBF", "Linear"])),
-                ]),
-            },
-            Algorithm::Gbtr => Workload {
-                algorithm,
-                dataset: "synthetic nonlinear regression",
-                optimizer: "Gradient Boosting",
-                metric: "validation MSE",
-                max_trial_steps: 60,
-                grid: expand_grid(&[
-                    GridAxis::new("bs", ints(&[128, 64])),
-                    GridAxis::new("lr", floats(&[1e-1, 1e-2])),
-                    GridAxis::new("nt", ints(&[10, 15])),
-                    GridAxis::new("depth", ints(&[5, 8])),
-                ]),
-            },
-            Algorithm::LiR => Workload {
-                algorithm,
-                dataset: "YearPredictionMSD-like (synthetic linear)",
-                optimizer: "Gradient Descent",
-                metric: "validation MSE",
-                max_trial_steps: 200,
-                grid: expand_grid(&[
-                    GridAxis::new("bs", ints(&[128, 64])),
-                    GridAxis::new("lr", floats(&[1e-2, 1e-3])),
-                    GridAxis::new("dr", floats(&[1.0, 0.95])),
-                    GridAxis::new("ds", ints(&[50, 100])),
-                ]),
-            },
-            Algorithm::AlexNet => Workload {
-                algorithm,
-                dataset: "CIFAR-10 (staged-curve substrate)",
-                optimizer: "Adam",
-                metric: "validation cross-entropy",
-                max_trial_steps: 100,
-                grid: expand_grid(&[
-                    GridAxis::new("bs", ints(&[128, 64])),
-                    GridAxis::new("lr", floats(&[1e-1, 1e-2])),
-                    GridAxis::new("dr", floats(&[1.0, 0.95])),
-                    GridAxis::new("de", ints(&[40, 60])),
-                ]),
-            },
-            Algorithm::ResNet => Workload {
-                algorithm,
-                dataset: "CIFAR-10 (staged-curve substrate)",
-                optimizer: "Adam",
-                metric: "validation cross-entropy",
-                max_trial_steps: 100,
-                grid: expand_grid(&[
-                    GridAxis::new("bs", ints(&[32, 64])),
-                    GridAxis::new("version", ints(&[1, 2])),
-                    GridAxis::new("depth", ints(&[20, 29])),
-                    GridAxis::new("de", ints(&[40, 60])),
-                ]),
-            },
-        }
+        let (max_trial_steps, axes) = match algorithm {
+            Algorithm::LoR | Algorithm::LiR => (200, [
+                GridAxis::new("bs", ints(&[128, 64])),
+                GridAxis::new("lr", floats(&[1e-2, 1e-3])),
+                GridAxis::new("dr", floats(&[1.0, 0.95])),
+                GridAxis::new("ds", ints(&[50, 100])),
+            ]),
+            Algorithm::Svm => (400, [
+                GridAxis::new("bs", ints(&[128, 64])),
+                GridAxis::new("lr", floats(&[1e-2, 1e-3])),
+                GridAxis::new("dr", floats(&[1.0, 0.95])),
+                GridAxis::new("kernel", texts(&["RBF", "Linear"])),
+            ]),
+            Algorithm::Gbtr => (60, [
+                GridAxis::new("bs", ints(&[128, 64])),
+                GridAxis::new("lr", floats(&[1e-1, 1e-2])),
+                GridAxis::new("nt", ints(&[10, 15])),
+                GridAxis::new("depth", ints(&[5, 8])),
+            ]),
+            Algorithm::AlexNet => (100, [
+                GridAxis::new("bs", ints(&[128, 64])),
+                GridAxis::new("lr", floats(&[1e-1, 1e-2])),
+                GridAxis::new("dr", floats(&[1.0, 0.95])),
+                GridAxis::new("de", ints(&[40, 60])),
+            ]),
+            Algorithm::ResNet => (100, [
+                GridAxis::new("bs", ints(&[32, 64])),
+                GridAxis::new("version", ints(&[1, 2])),
+                GridAxis::new("depth", ints(&[20, 29])),
+                GridAxis::new("de", ints(&[40, 60])),
+            ]),
+        };
+        Workload::custom(algorithm, max_trial_steps, expand_grid(&axes))
     }
 
     /// All six Table II benchmarks.
@@ -168,7 +121,8 @@ impl Workload {
     }
 
     /// Builds a custom workload (smaller grids / step counts for tests and
-    /// focused experiments).
+    /// focused experiments); dataset, optimizer and metric are the
+    /// algorithm's Table II entries, as for [`Workload::benchmark`].
     ///
     /// # Panics
     ///
@@ -176,8 +130,26 @@ impl Workload {
     pub fn custom(algorithm: Algorithm, max_trial_steps: u64, grid: Vec<HpSetting>) -> Workload {
         assert!(!grid.is_empty(), "grid must not be empty");
         assert!(max_trial_steps > 0, "max_trial_steps must be positive");
-        let base = Workload::benchmark(algorithm);
-        Workload { algorithm, max_trial_steps, grid, ..base }
+        let (dataset, optimizer, metric) = match algorithm {
+            Algorithm::LoR => (
+                "epsilon-like (synthetic two-blob)",
+                "Gradient Descent",
+                "validation cross-entropy",
+            ),
+            Algorithm::Svm => ("synthetic rings", "Gradient Descent", "validation hinge loss"),
+            Algorithm::Gbtr => {
+                ("synthetic nonlinear regression", "Gradient Boosting", "validation MSE")
+            }
+            Algorithm::LiR => (
+                "YearPredictionMSD-like (synthetic linear)",
+                "Gradient Descent",
+                "validation MSE",
+            ),
+            Algorithm::AlexNet | Algorithm::ResNet => {
+                ("CIFAR-10 (staged-curve substrate)", "Adam", "validation cross-entropy")
+            }
+        };
+        Workload { algorithm, dataset, optimizer, metric, max_trial_steps, grid }
     }
 
     /// The algorithm.
@@ -279,6 +251,37 @@ mod tests {
         let small = gbtr.hp_grid().iter().find(|h| h.int("depth") == 5).unwrap();
         let big = gbtr.hp_grid().iter().find(|h| h.int("depth") == 8).unwrap();
         assert!(gbtr.model_size_mb(big) > gbtr.model_size_mb(small));
+    }
+
+    /// `custom` keeps the parent construction's metadata — the benchmark's
+    /// Table II strings — for every algorithm, without building its grid.
+    #[test]
+    fn custom_takes_the_table_ii_metadata_of_its_algorithm() {
+        let (gd, xent, mse, cifar) = (
+            "Gradient Descent",
+            "validation cross-entropy",
+            "validation MSE",
+            "CIFAR-10 (staged-curve substrate)",
+        );
+        let table = [
+            (Algorithm::LoR, "epsilon-like (synthetic two-blob)", gd, xent),
+            (Algorithm::Svm, "synthetic rings", gd, "validation hinge loss"),
+            (Algorithm::Gbtr, "synthetic nonlinear regression", "Gradient Boosting", mse),
+            (Algorithm::LiR, "YearPredictionMSD-like (synthetic linear)", gd, mse),
+            (Algorithm::AlexNet, cifar, "Adam", xent),
+            (Algorithm::ResNet, cifar, "Adam", xent),
+        ];
+        for (algorithm, dataset, optimizer, metric) in table {
+            let bench = Workload::benchmark(algorithm);
+            let grid = bench.hp_grid()[..3].to_vec();
+            let custom = Workload::custom(algorithm, 17, grid.clone());
+            assert_eq!(custom, Workload { algorithm, max_trial_steps: 17, grid, ..bench });
+            assert_eq!(
+                (custom.dataset(), custom.optimizer(), custom.metric()),
+                (dataset, optimizer, metric),
+                "{algorithm}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! key, so a cache hit can never change a report, only wall-clock.
 
 use crate::estimator::{train_for_scenario, MarketPredictorSet, PredictorKind};
-use spottune_market::{MarketPool, MarketScenario, Tier};
+use spottune_market::{CacheStats, MarketPool, MarketScenario, Tier};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -71,6 +71,12 @@ impl PredictorCache {
         pool: &MarketPool,
     ) -> Arc<MarketPredictorSet> {
         self.0.get((scenario, kind), |_| Arc::new(train_for_scenario(kind, scenario, pool)))
+    }
+
+    /// Probe-memo counters summed over the resident trained sets (an
+    /// evicted set's counts leave with it).
+    pub fn resident_probe_stats(&self) -> CacheStats {
+        self.resident().iter().map(|set| set.probe_stats()).sum()
     }
 }
 
@@ -204,6 +210,23 @@ mod tests {
         );
         let hit = cache.get(PredictorKind::Logistic, a, &a.build());
         assert_eq!(hit.name(), "LogisticRegression");
+    }
+
+    #[test]
+    fn probe_counts_are_the_resident_sets_memo_stats() {
+        let cache = PredictorCache::new();
+        let scenario = MarketScenario::from_days(1, 6);
+        let pool = scenario.build();
+        let market = pool.iter().next().expect("non-empty pool");
+        let name = market.instance().name();
+        // Two holders of the tier's one set share its memo: the second
+        // probe of the minute hits whoever asks.
+        let t = SimTime::from_hours(20);
+        cache.get(PredictorKind::Logistic, scenario, &pool).revocation_probability(name, t, 0.4);
+        cache.get(PredictorKind::Logistic, scenario, &pool).revocation_probability(name, t, 0.6);
+        assert_eq!(cache.resident_probe_stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
+        cache.clear();
+        assert_eq!(cache.resident_probe_stats(), CacheStats::default());
     }
 
     #[test]

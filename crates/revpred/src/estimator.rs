@@ -2,12 +2,14 @@
 //! [`RevocationEstimator`] interface ("for each individual spot market, an
 //! independent model is trained offline", §III.B).
 
-use crate::dataset::{build_dataset, build_input, DeltaPolicy, Sample, SlicedDataset};
+use crate::dataset::{build_dataset, DeltaPolicy, Sample, SlicedDataset};
 use crate::logistic::LogisticModel;
 use crate::model::{ProbModel, RevPredNet, TrainConfig};
+use crate::probe::ProbedModel;
 use crate::tributary::TributaryNet;
 use spottune_market::{
-    EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator, SimDur, SimTime, SpotMarket,
+    CacheStats, EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator, SimDur, SimTime,
+    SpotMarket,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -107,9 +109,13 @@ pub fn train_for_scenario(
 }
 
 /// One trained model per spot market, usable as a [`RevocationEstimator`].
+///
+/// Each market's model answers probes through its own probe-context memo
+/// ([`crate::probe`]), so every holder of the set — sessions on any
+/// thread, lone requests, `run_serial` — shares the contexts it built.
 pub struct MarketPredictorSet {
     pool: MarketPool,
-    models: BTreeMap<String, Box<dyn ProbModel>>,
+    models: BTreeMap<String, ProbedModel>,
     label: String,
 }
 
@@ -123,16 +129,6 @@ impl fmt::Debug for MarketPredictorSet {
 }
 
 impl MarketPredictorSet {
-    /// The market pool the predictors were trained against.
-    pub(crate) fn pool(&self) -> &MarketPool {
-        &self.pool
-    }
-
-    /// The per-market model, if this market was trained.
-    pub(crate) fn model(&self, name: &str) -> Option<&dyn ProbModel> {
-        self.models.get(name).map(|b| b.as_ref())
-    }
-
     /// Trains one predictor per market on `[train_from, train_to)` with the
     /// given sampling stride.
     ///
@@ -182,8 +178,8 @@ impl MarketPredictorSet {
                     .collect()
             }
         };
-        let models: BTreeMap<String, Box<dyn ProbModel>> =
-            pool.iter().map(|market| market.instance().name().to_string()).zip(trained).collect();
+        let names = pool.iter().map(|market| market.instance().name().to_string());
+        let models = names.zip(trained.into_iter().map(ProbedModel::new)).collect();
         let label = match kind {
             PredictorKind::RevPred => "RevPred",
             PredictorKind::Tributary => "Tributary",
@@ -194,7 +190,12 @@ impl MarketPredictorSet {
 
     /// Predicts for an explicit, already-built sample (evaluation path).
     pub fn predict_sample(&self, instance_name: &str, sample: &Sample) -> Option<f64> {
-        Some(self.models.get(instance_name)?.predict(sample))
+        Some(self.models.get(instance_name)?.model.predict(sample))
+    }
+
+    /// Probe-memo counters summed over the markets.
+    pub fn probe_stats(&self) -> CacheStats {
+        self.models.values().map(ProbedModel::memo_stats).sum()
     }
 }
 
@@ -205,7 +206,7 @@ impl RevocationEstimator for MarketPredictorSet {
         else {
             return 0.5; // unknown market: no information
         };
-        model.predict(&build_input(market, t, max_price))
+        model.probability(market, t, max_price)
     }
 
     fn name(&self) -> &str {

@@ -59,6 +59,20 @@
 //! next sample's dot product. [`LogisticModel::train`] is the one-lane
 //! call of the same kernel, and the crate's tests lock both against a
 //! literal per-market scalar loop on 2- and 12-day pools.
+//!
+//! ## The probe memo lives in the trained set
+//!
+//! Probes at one market and minute differ only in their bid, so each
+//! market's model in a [`MarketPredictorSet`] sits beside a minute-keyed
+//! [`spottune_market::Tier`] of bid-independent contexts ([`ProbeCtx`],
+//! see [`probe`]), bounded at one simulated day of minutes. There is one
+//! probe path: every holder of a set — the batched sweep's sessions on any
+//! thread, the server's lone-request arm, `run_serial` — probes through
+//! the memo, and a set resident in the [`PredictorCache`] shares its
+//! contexts across requests. The memo is keyed by minute, not second,
+//! because `features_at` reads its instant only through the minute index;
+//! `MarketPredictorSet::probe_stats` and
+//! `PredictorCache::resident_probe_stats` expose its counters.
 
 pub mod cache;
 pub mod dataset;
@@ -78,7 +92,7 @@ pub use estimator::{train_for_pool, train_for_scenario, MarketPredictorSet, Pred
 pub use eval::BinaryEval;
 pub use logistic::LogisticModel;
 pub use model::{ProbModel, RevPredNet, TrainConfig, TrainStats};
-pub use probe::{ProbeCachedPredictors, ProbeCtx};
+pub use probe::ProbeCtx;
 pub use tributary::TributaryNet;
 
 /// Convenient glob-import surface.

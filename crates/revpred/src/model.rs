@@ -274,7 +274,7 @@ impl ProbModel for RevPredNet {
     fn probe_ctx(&self, sample: &Sample) -> ProbeCtx {
         let hs = self.lstm.forward_inference(&batch_history(&[sample]));
         let h_last = hs.last().expect("non-empty history").clone();
-        ProbeCtx::Hidden { h_last, sample: sample.clone() }
+        ProbeCtx::Hidden { h_last, present: sample.present }
     }
 
     /// Replays only the dense path over the re-bidded present record and
@@ -283,10 +283,10 @@ impl ProbModel for RevPredNet {
     /// independent sub-paths evaluated at different times (which changes
     /// no bits).
     fn predict_probe(&self, ctx: &ProbeCtx, bid_feature: f64) -> f64 {
-        let ProbeCtx::Hidden { h_last, sample } = ctx else {
+        let ProbeCtx::Hidden { h_last, present } = ctx else {
             unreachable!("probe context from a different model family");
         };
-        let present = crate::probe::rebid_present(sample, bid_feature);
+        let present = crate::probe::rebid_present(present, bid_feature);
         let p = self.fc3.forward_inference(
             &self.fc2.forward_inference(&self.fc1.forward_inference(&present)),
         );

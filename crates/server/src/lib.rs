@@ -197,6 +197,13 @@ pub struct ServerStats {
     pub lane_slots: u64,
     /// Jobs whose final-metric extrapolation ran through kernel lanes.
     pub lane_jobs: u64,
+    /// Probe-context memo hits of the resident trained predictor sets —
+    /// sweeps and lone requests alike probe through the set's memo, so a
+    /// repeated lone learned request adds hits and no misses.
+    pub probe_hits: u64,
+    /// Probe-context memo misses (one sample assembly each) of the
+    /// resident trained predictor sets.
+    pub probe_misses: u64,
     /// Spot revocations absorbed across every completed campaign — the
     /// server-level view of how hostile the swept markets were.
     pub revocations: u64,
@@ -253,6 +260,8 @@ impl ServerStats {
             kernel_invocations,
             lane_slots,
             lane_jobs,
+            probe_hits,
+            probe_misses,
             revocations,
             lost_steps,
             migrations,
@@ -295,6 +304,8 @@ impl ServerStats {
             ("kernel_invocations", kernel_invocations),
             ("lane_slots", lane_slots),
             ("lane_jobs", lane_jobs),
+            ("probe_hits", probe_hits),
+            ("probe_misses", probe_misses),
         ]
     }
 }
@@ -360,8 +371,12 @@ enum WorkPayload {
     /// `peak_rss_mb` 12.30 → 19.44 MB (+58 %, bound 15 %) and `wire_open`
     /// 12.49 → 19.39 MB while buying nothing (`wire_closed` p50 87.96 →
     /// 87.98 ms; `wire_open` p50 1.43 → 1.51 ms, `sat` 1 489 → 1 425 /s).
-    /// Retire this variant once the spine tier is bounded (ROADMAP's
-    /// cold-scenario item).
+    /// Keeping one session resident per worker instead measured
+    /// `peak_rss_mb` 20.1–21.8 MB on the `wire_*` workloads against
+    /// 12.7 MB. What a session would add for learned estimators — the
+    /// probe memo — lives in the trained set, so this arm shares it
+    /// without a session. Retire this variant with ROADMAP's "Bound the
+    /// pool and spine tiers, then let the wire reach the batched engine".
     Single {
         request: CampaignRequest,
         /// Checked at dequeue: expired work is cancelled before it starts.
@@ -672,6 +687,8 @@ impl CampaignServer {
             kernel_invocations: batch.kernel_invocations,
             lane_slots: batch.lane_slots,
             lane_jobs: batch.lane_jobs,
+            probe_hits: batch.probe_hits,
+            probe_misses: batch.probe_misses,
             revocations: self.degradation.revocations.load(Ordering::Relaxed),
             lost_steps: self.degradation.lost_steps.load(Ordering::Relaxed),
             migrations: self.degradation.migrations.load(Ordering::Relaxed),
@@ -966,6 +983,33 @@ mod tests {
         assert_eq!(stats.predictor_cache.misses, 1, "{:?}", stats.predictor_cache);
         assert_eq!(stats.predictor_cache.hits, 1, "{:?}", stats.predictor_cache);
         assert_eq!(stats.batched_groups, 0, "lone requests open no session");
+        server.shutdown();
+    }
+
+    /// The lone arm probes through the resident set's memo: a repeat of a
+    /// learned request finds every probe context the first one built.
+    #[test]
+    fn a_repeated_lone_request_hits_the_probe_memo() {
+        let server = CampaignServer::start(ServerConfig::with_workers(1));
+        let req = CampaignRequest {
+            approach: Approach::SpotTune { theta: 0.7 },
+            estimator: EstimatorSpec::Logistic,
+            ..request(3)
+        };
+        let want = req.run_serial(&req.scenario.build(), &CurveCache::new());
+        let run = || match server.try_submit(req.clone(), None).expect("queued").recv() {
+            Ok(WorkOutcome::Done(response)) => {
+                assert_eq!(response.report, want);
+                server.stats()
+            }
+            other => panic!("expected a response, got {other:?}"),
+        };
+        let first = run();
+        assert!(first.probe_misses > 0, "{first:?}");
+        let second = run();
+        assert_eq!(second.probe_misses, first.probe_misses, "{second:?}");
+        assert!(second.probe_hits > first.probe_hits, "{second:?}");
+        assert_eq!(second.batched_groups, 0, "lone requests open no session");
         server.shutdown();
     }
 
