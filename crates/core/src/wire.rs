@@ -210,11 +210,13 @@ fn to_string(v: &Json) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err(&self, msg: &str) -> WireError {
@@ -251,11 +253,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Json::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one container deeper. The parser recurses per level,
+    /// so the cap is what keeps a line of brackets from overflowing a
+    /// connection thread's stack.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Json) -> Result<Json> {
@@ -796,6 +811,12 @@ pub fn decode_response(text: &str) -> Result<CampaignResponse> {
 /// newline and keeps the connection; a client reports a longer reply as a
 /// [`WireError`].
 pub const MAX_FRAME_BYTES: u64 = 1 << 20;
+
+/// Deepest nesting of arrays and objects either decoder accepts (the
+/// protocol's own frames nest at most six deep). A deeper frame is
+/// `malformed`; without the cap, a line of 10 000 `[` overflowed a 2 MiB
+/// thread stack and aborted the server.
+pub const MAX_DEPTH: usize = 64;
 
 /// The error-frame kinds a server may put on the wire. The names are a
 /// registry (like [`Approach::registered_policies`]): clients match on
@@ -1355,5 +1376,76 @@ mod tests {
         let resp = CampaignResponse { id: 1, report };
         let back = decode_response(&encode_response(&resp)).expect("round trip");
         assert_eq!(back, resp);
+    }
+
+    /// Deepest array/object nesting in `text`, brackets inside strings
+    /// skipped.
+    fn nesting(text: &str) -> usize {
+        let (mut depth, mut deepest, mut in_string, mut escaped) = (0usize, 0, false, false);
+        for c in text.chars() {
+            match (in_string, escaped, c) {
+                (true, true, _) => escaped = false,
+                (true, false, '\\') => escaped = true,
+                (true, false, '"') | (false, _, '"') => in_string = !in_string,
+                (false, _, '[' | '{') => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                (false, _, ']' | '}') => depth -= 1,
+                _ => {}
+            }
+        }
+        deepest
+    }
+
+    #[test]
+    fn protocol_frames_nest_far_below_the_cap() {
+        let req = request(Approach::SpotTune { theta: 0.7 });
+        let pool = req.scenario.build();
+        let resp = CampaignResponse { id: 7, report: req.run_serial(&pool, &CurveCache::global()) };
+        let depths = [
+            nesting(&encode_request_frame(&req, Some(5))),
+            nesting(&encode_response(&resp)),
+            nesting(&encode_stats_frame(&[("submitted", 1)])),
+        ];
+        assert!(depths.iter().all(|&d| d > 0 && d <= MAX_DEPTH / 8), "{depths:?}");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth_in_both_decoders() {
+        // The frame object is one level; `pad` nests the rest.
+        let pad = |depth: usize| format!("{}{}", "[".repeat(depth - 1), "]".repeat(depth - 1));
+        let client = |depth| format!("{{\"stats\":true,\"pad\":{}}}", pad(depth));
+        let server = |depth| format!("{{\"stats\":{{\"n\":1}},\"pad\":{}}}", pad(depth));
+        fn capped(result: Option<WireError>) -> bool {
+            result.is_some_and(|e| e.to_string().contains(&format!("nesting deeper than {MAX_DEPTH}")))
+        }
+
+        // At the cap both decoders accept the frame (unknown fields are
+        // tolerated); one level deeper both refuse it as malformed input.
+        assert_eq!(decode_client_frame(&client(MAX_DEPTH)), Ok(ClientFrame::Stats));
+        assert!(capped(decode_client_frame(&client(MAX_DEPTH + 1)).err()));
+        assert_eq!(
+            decode_server_frame(&server(MAX_DEPTH)),
+            Ok(ServerFrame::Stats(vec![("n".to_string(), 1)]))
+        );
+        assert!(capped(decode_server_frame(&server(MAX_DEPTH + 1)).err()));
+
+        // The line that overflowed a connection thread's stack: refused at
+        // the cap whatever its length, on a 2 MiB-stack thread like the
+        // server's readers.
+        let lines = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = "[".repeat(100_000);
+                let objects = "{\"a\":".repeat(100_000);
+                [&deep, &objects].map(|line| {
+                    capped(decode_client_frame(line).err()) && capped(decode_server_frame(line).err())
+                })
+            })
+            .expect("spawn")
+            .join()
+            .expect("decoders must not overflow the stack");
+        assert_eq!(lines, [true, true]);
     }
 }

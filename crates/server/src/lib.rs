@@ -10,12 +10,11 @@
 //! ## Architecture
 //!
 //! * **Sharding** — [`CampaignServer::start`] spawns a fixed pool of
-//!   resident worker threads. Requests flow through a
-//!   `crossbeam::channel` MPMC queue — bounded to
-//!   [`ServerConfig::queue_capacity`] (the default `0` keeps the legacy
-//!   unbounded feed) — so an idle worker steals the next request the
-//!   moment it finishes; coarse campaigns shard evenly without a
-//!   scheduler.
+//!   resident worker threads. Requests flow through one *fair queue* — a
+//!   FIFO lane per submitter (a TCP connection each; in-process callers
+//!   share lane 0), bounded in total by [`ServerConfig::queue_capacity`]
+//!   (`0`, the default, is unbounded) — whose lanes idle workers serve
+//!   round robin, so coarse campaigns shard evenly without a scheduler.
 //! * **Backpressure & drain** — with a bounded queue, the non-blocking
 //!   submission paths ([`CampaignServer::try_submit`]) refuse
 //!   over-capacity work with [`SubmitError::Overloaded`] instead of
@@ -35,11 +34,11 @@
 //!   resolved once, SoA lanes, one lane-kernel pass per cohort). That is the
 //!   only sweep path. A lone [`CampaignServer::try_submit`] request runs the
 //!   scalar engine directly — the same code as the `run_serial` reference.
-//! * **Streaming** — every submission (single request or sweep) carries its
-//!   own reply channel; [`CampaignResponse`]s stream back in *completion*
-//!   order, tagged with the request id so clients needing submission order
-//!   can reorder. The reply receiver disconnects exactly when the last
-//!   response of the submission has been delivered.
+//! * **Streaming** — every submission carries its own reply path (a
+//!   channel; on the wire, the connection, written by the worker itself);
+//!   [`CampaignResponse`]s stream back in *completion* order, tagged with
+//!   the request id so clients needing submission order can reorder. A
+//!   reply channel disconnects right after the submission's last response.
 //! * **Shared tiers** — workers resolve the market environment through a
 //!   scenario-keyed [`PoolCache`], memoize training curves through a
 //!   cross-request [`CurveCache`], and resolve learned revocation
@@ -81,18 +80,21 @@
 //! println!("predictor tier: {} trainings", stats.predictor_cache.misses);
 //! ```
 
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use spottune_core::{BatchRunner, CampaignRequest, CampaignResponse, CohortPlan};
 use spottune_market::{CacheStats, PoolCache, SpineCache};
 use spottune_mlsim::CurveCache;
 use spottune_revpred::PredictorCache;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 pub mod net;
+mod queue;
+
+use queue::{FairQueue, PushError};
 
 /// Campaign-server configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -114,8 +116,8 @@ pub struct ServerConfig {
     /// [`CacheStats`]. An evicted `(scenario, kind)` retrains on its next
     /// request.
     pub predictor_capacity: usize,
-    /// Capacity bound of the request queue; `0` (the default) is the
-    /// legacy unbounded feed. With a bound, blocking submissions
+    /// Capacity bound of the request queue, summed over its lanes; `0`
+    /// (the default) is unbounded. With a bound, blocking submissions
     /// ([`CampaignServer::submit_sweep`]) wait for space while the
     /// non-blocking paths ([`CampaignServer::try_submit`]) refuse
     /// over-capacity work with [`SubmitError::Overloaded`].
@@ -157,7 +159,7 @@ impl ServerConfig {
 /// A snapshot of the server's counters and shared-tier state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
-    /// Worker-pool size.
+    /// Worker-pool size; `0` once the pool has been joined.
     pub workers: usize,
     /// Requests accepted so far.
     pub submitted: u64,
@@ -314,10 +316,13 @@ impl ServerStats {
 /// ([`CampaignServer::try_submit`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded request queue is at capacity; retry after backoff.
+    /// The bounded request queue, or the submitter's lane of it, is full.
     Overloaded {
-        /// The configured queue bound that was hit.
+        /// The bound that was hit: the queue's, or the lane's.
         capacity: usize,
+        /// Whether the bound was the submitter's lane rather than the
+        /// whole queue (in-process callers' lane 0 is unbounded).
+        lane: bool,
     },
     /// The request failed [`CampaignRequest::validate`]; never queued.
     Rejected(String),
@@ -329,8 +334,9 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Overloaded { capacity } => {
-                write!(f, "request queue at capacity ({capacity})")
+            SubmitError::Overloaded { capacity, lane } => {
+                let bound = if *lane { "connection lane" } else { "request queue" };
+                write!(f, "{bound} at capacity ({capacity}); retry after backoff")
             }
             SubmitError::Rejected(reason) => write!(f, "invalid request: {reason}"),
             SubmitError::Draining => f.write_str("server is draining; not accepting work"),
@@ -354,37 +360,50 @@ pub enum WorkOutcome {
     },
 }
 
+/// Where a lone request's verdict goes: the worker that ran (or expired)
+/// it calls exactly one method, once. A refused push drops the sink unused.
+pub(crate) trait ReplySink: Send {
+    /// Delivers the verdict.
+    fn answer(self: Box<Self>, outcome: WorkOutcome);
+    /// The campaign panicked: there is no verdict.
+    fn abort(self: Box<Self>);
+}
+
+/// [`CampaignServer::try_submit`]'s sink; an abort disconnects it.
+impl ReplySink for Sender<WorkOutcome> {
+    fn answer(self: Box<Self>, outcome: WorkOutcome) {
+        // A caller that dropped its receiver no longer wants the verdict.
+        let _ = self.send(outcome);
+    }
+
+    fn abort(self: Box<Self>) {}
+}
+
 /// What one queue slot carries. Which variant is built follows from what
 /// the server observes — a lone deadline-aware submission or a sweep —
 /// never from an option, and the ledger measures both sides: the `wire_*`
 /// workloads ride `Single`; `Sweep` runs the `run_cohort` the `sweep_*`
 /// workloads time, and `server.inproc_sweep_per_s` times `Sweep` itself.
 enum WorkPayload {
-    /// One campaign from [`CampaignServer::try_submit`], run by
-    /// [`CampaignRequest::run_with_tiers`] — the function
+    /// One campaign from [`CampaignServer::try_submit`] or a connection,
+    /// run by [`CampaignRequest::run_with_tiers`] — the function
     /// [`CampaignRequest::run_serial`] is, over this server's predictor
     /// tier — so the suites' reference is exercised by production traffic.
     ///
-    /// Not a cohort of one, on measurement: routing `try_submit` through a
-    /// [`GroupSession`](spottune_core::GroupSession) held one spine per
-    /// warmed scenario resident in the server and moved `wire_closed`
-    /// `peak_rss_mb` 12.30 → 19.44 MB (+58 %, bound 15 %) and `wire_open`
-    /// 12.49 → 19.39 MB while buying nothing (`wire_closed` p50 87.96 →
-    /// 87.98 ms; `wire_open` p50 1.43 → 1.51 ms, `sat` 1 489 → 1 425 /s).
-    /// Keeping one session resident per worker instead measured
-    /// `peak_rss_mb` 20.1–21.8 MB on the `wire_*` workloads against
-    /// 12.7 MB. What a session would add for learned estimators — the
-    /// probe memo — lives in the trained set, so this arm shares it
-    /// without a session. Retire this variant with ROADMAP's "Bound the
-    /// pool and spine tiers, then let the wire reach the batched engine".
+    /// Not a cohort of one, on measurement: a resident
+    /// [`GroupSession`](spottune_core::GroupSession) per warmed scenario
+    /// moved `wire_closed` `peak_rss_mb` 12.30 → 19.44 MB (bound 15 %), one
+    /// per worker 12.7 → 20.1–21.8 MB, for no latency gain; the probe memo
+    /// a session would add lives in the trained set. Retire this variant
+    /// with ROADMAP's "Bound the pool and spine tiers" item.
     Single {
         request: CampaignRequest,
         /// Checked at dequeue: expired work is cancelled before it starts.
         deadline: Option<Instant>,
-        reply: Sender<WorkOutcome>,
+        reply: Box<dyn ReplySink>,
     },
-    /// One of at most `workers` handles on a sweep; the worker that
-    /// dequeues it claims the sweep's [`CohortPlan`] until it is exhausted.
+    /// One of at most `workers` handles on a sweep (lane 0); the worker
+    /// that dequeues one claims the sweep's [`CohortPlan`] until exhausted.
     Sweep(Arc<Sweep>),
 }
 
@@ -409,10 +428,6 @@ struct DegradationCounters {
 /// and [`CampaignServer::stats`].
 #[derive(Debug, Default)]
 struct QueueCounters {
-    /// High-water mark of the queue depth, sampled right after every
-    /// successful enqueue (depth only grows at enqueue, so the true
-    /// maximum is always observed there).
-    peak_depth: AtomicU64,
     rejected: AtomicU64,
     overloaded: AtomicU64,
     expired: AtomicU64,
@@ -422,30 +437,19 @@ struct QueueCounters {
     draining: AtomicBool,
 }
 
-impl QueueCounters {
-    fn note_enqueued(&self, depth_now: u64) {
-        self.peak_depth.fetch_max(depth_now, Ordering::SeqCst);
-    }
-}
-
 /// The long-running sharded campaign service.
 ///
-/// Dropping the server disconnects the request queue and joins every
-/// worker; in-flight campaigns finish first ([`CampaignServer::shutdown`]
-/// does the same explicitly).
+/// Dropping the server closes the request queue and joins every worker;
+/// queued and in-flight campaigns finish first
+/// ([`CampaignServer::shutdown`] does the same explicitly).
 pub struct CampaignServer {
-    /// `None` once draining/teardown has closed the intake. Behind a
-    /// mutex so [`CampaignServer::begin_drain`] works from `&self`
-    /// (shared with connection threads).
-    req_tx: Mutex<Option<Sender<WorkPayload>>>,
-    /// Depth probe on the request queue: its `len()` is the live queue
-    /// depth, and — for a bounded queue — can never exceed the capacity
-    /// (the channel enforces the bound under its own lock). The extra
-    /// receiver does not keep workers alive: they exit on sender
-    /// disconnect, not receiver count.
-    queue_probe: Receiver<WorkPayload>,
+    /// The fair queue the workers pop; closed by
+    /// [`CampaignServer::begin_drain`].
+    requests: Arc<FairQueue<WorkPayload>>,
     queue_capacity: usize,
-    workers: Vec<JoinHandle<()>>,
+    /// Behind a mutex so the TCP front-end can join the pool from `&self`;
+    /// empty once joined.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     pools: PoolCache,
     curves: CurveCache,
     predictors: PredictorCache,
@@ -485,11 +489,7 @@ impl CampaignServer {
         predictors: PredictorCache,
     ) -> Self {
         let workers = config.resolved_workers();
-        let (req_tx, req_rx) = if config.queue_capacity > 0 {
-            channel::bounded::<WorkPayload>(config.queue_capacity)
-        } else {
-            channel::unbounded::<WorkPayload>()
-        };
+        let requests = Arc::new(FairQueue::new(config.queue_capacity));
         let spines = SpineCache::new();
         let runner = BatchRunner::new().with_tiers(
             pools.clone(),
@@ -511,19 +511,18 @@ impl CampaignServer {
         };
         let handles = (0..workers)
             .map(|i| {
-                let rx = req_rx.clone();
+                let requests = Arc::clone(&requests);
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("campaign-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared))
+                    .spawn(move || worker_loop(&requests, &shared))
                     .expect("spawn campaign worker")
             })
             .collect();
         CampaignServer {
-            req_tx: Mutex::new(Some(req_tx)),
-            queue_probe: req_rx,
+            requests,
             queue_capacity: config.queue_capacity,
-            workers: handles,
+            workers: Mutex::new(handles),
             pools,
             curves,
             predictors,
@@ -534,13 +533,6 @@ impl CampaignServer {
             degradation,
             queue,
         }
-    }
-
-    /// Clones the intake sender, or `None` once draining/teardown has
-    /// closed it. (Poisoning cannot outlive this lock: no holder panics
-    /// while it is held.)
-    fn intake(&self) -> Option<Sender<WorkPayload>> {
-        self.req_tx.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Submits a sweep; the returned receiver streams one response per
@@ -556,25 +548,22 @@ impl CampaignServer {
     /// panics its campaign, shortening the stream by one response.
     pub fn submit_sweep(&self, requests: Vec<CampaignRequest>) -> Receiver<CampaignResponse> {
         let (reply_tx, reply_rx) = channel::unbounded();
-        // `req_tx` is `None` mid-drain or mid-teardown; a send fails only
-        // if every worker is gone. Neither is a reason to panic the
-        // *client* thread: an unqueued request simply never answers, which
-        // the stream reports by disconnecting short (same contract as a
-        // panicked campaign).
-        let Some(req_tx) = self.intake() else {
+        // A queue closed by a drain or teardown must not panic the client:
+        // the stream disconnects short, as for a panicked campaign.
+        if self.is_draining() {
             return reply_rx;
-        };
+        }
         self.submitted.fetch_add(requests.len() as u64, Ordering::Relaxed);
         // One plan — the cohorts `BatchRunner::run_many` stages over the
         // same requests — claimed by as many workers as it has cohorts.
         let plan = CohortPlan::new(&requests);
-        let claimers = self.workers.len().min(plan.len());
+        let claimers = lock_clean(&self.workers).len().min(plan.len());
         let sweep = Arc::new(Sweep { requests, plan, reply: reply_tx });
         for _ in 0..claimers {
-            if req_tx.send(WorkPayload::Sweep(Arc::clone(&sweep))).is_err() {
+            let handle = WorkPayload::Sweep(Arc::clone(&sweep));
+            if self.requests.push(0, usize::MAX, handle, true).is_err() {
                 break;
             }
-            self.queue.note_enqueued(self.queue_probe.len() as u64);
         }
         reply_rx
     }
@@ -595,27 +584,40 @@ impl CampaignServer {
         request: CampaignRequest,
         deadline: Option<Instant>,
     ) -> Result<Receiver<WorkOutcome>, SubmitError> {
+        let (reply_tx, reply_rx) = channel::unbounded();
+        self.try_submit_to(0, usize::MAX, request, deadline, Box::new(reply_tx))?;
+        Ok(reply_rx)
+    }
+
+    /// [`CampaignServer::try_submit`] into `lane` of the fair queue, which
+    /// may hold at most `lane_cap` requests, with the verdict going to
+    /// `reply`. A refused request drops `reply` unused.
+    pub(crate) fn try_submit_to(
+        &self,
+        lane: u64,
+        lane_cap: usize,
+        request: CampaignRequest,
+        deadline: Option<Instant>,
+        reply: Box<dyn ReplySink>,
+    ) -> Result<(), SubmitError> {
         if let Err(reason) = request.validate() {
             self.queue.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Rejected(reason));
         }
-        let Some(req_tx) = self.intake() else {
-            return Err(SubmitError::Draining);
-        };
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let item = WorkPayload::Single { request, deadline, reply: reply_tx };
-        match req_tx.try_send(item) {
+        let item = WorkPayload::Single { request, deadline, reply };
+        let refusal = match self.requests.push(lane, lane_cap, item, false) {
             Ok(()) => {
-                self.queue.note_enqueued(self.queue_probe.len() as u64);
                 self.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(reply_rx)
+                return Ok(());
             }
-            Err(TrySendError::Full(_)) => {
-                self.queue.overloaded.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Overloaded { capacity: self.queue_capacity })
+            Err(PushError::Closed) => return Err(SubmitError::Draining),
+            Err(PushError::Full) => {
+                SubmitError::Overloaded { capacity: self.queue_capacity, lane: false }
             }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Draining),
-        }
+            Err(PushError::LaneFull) => SubmitError::Overloaded { capacity: lane_cap, lane: true },
+        };
+        self.queue.overloaded.fetch_add(1, Ordering::Relaxed);
+        Err(refusal)
     }
 
     /// Validating variant of [`CampaignServer::submit_sweep`]: every
@@ -670,8 +672,9 @@ impl CampaignServer {
         // `BatchRunner::stats` locks the spine map and walks every resident
         // spine, and the lane counters should come from one instant.
         let batch = self.runner.stats();
+        let (queue_depth, peak_queue_depth) = self.requests.depths();
         ServerStats {
-            workers: self.workers.len(),
+            workers: lock_clean(&self.workers).len(),
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             pool_cache: batch.pool_cache,
@@ -693,8 +696,8 @@ impl CampaignServer {
             lost_steps: self.degradation.lost_steps.load(Ordering::Relaxed),
             migrations: self.degradation.migrations.load(Ordering::Relaxed),
             queue_capacity: self.queue_capacity as u64,
-            queue_depth: self.queue_probe.len() as u64,
-            peak_queue_depth: self.queue.peak_depth.load(Ordering::SeqCst),
+            queue_depth: queue_depth as u64,
+            peak_queue_depth: peak_queue_depth as u64,
             rejected: self.queue.rejected.load(Ordering::Relaxed),
             overloaded: self.queue.overloaded.load(Ordering::Relaxed),
             expired: self.queue.expired.load(Ordering::Relaxed),
@@ -708,24 +711,27 @@ impl CampaignServer {
     }
 
     /// Starts a graceful drain from a shared reference: closes the
-    /// intake (later submissions observe [`SubmitError::Draining`] /
+    /// queue (later submissions observe [`SubmitError::Draining`] /
     /// an immediately-disconnected stream) while already-queued requests
     /// keep running and streaming their responses. Workers exit once the
     /// queue is empty; [`CampaignServer::shutdown`] (or `Drop`) then
     /// joins them. Idempotent.
     pub fn begin_drain(&self) {
         self.queue.draining.store(true, Ordering::SeqCst);
-        drop(self.req_tx.lock().unwrap_or_else(|e| e.into_inner()).take());
+        self.requests.close();
     }
 
     /// Finishes in-flight campaigns, then stops and joins every worker.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.finish();
     }
 
-    fn finish(&mut self) {
+    /// Drains, then joins every worker: on return every queued request
+    /// has run and delivered its verdict. Idempotent.
+    pub(crate) fn finish(&self) {
         self.begin_drain();
-        for handle in self.workers.drain(..) {
+        let workers: Vec<JoinHandle<()>> = lock_clean(&self.workers).drain(..).collect();
+        for handle in workers {
             // Propagate a worker panic — unless we are already unwinding
             // (Drop during a client panic), where a second panic would
             // abort the process and mask the original error.
@@ -738,14 +744,12 @@ impl CampaignServer {
 
 impl Drop for CampaignServer {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.finish();
-        }
+        self.finish();
     }
 }
 
-/// The resident worker body: pull a work item, run it against the shared
-/// tiers, stream each response back on the submission's reply channel. A
+/// The resident worker body: pop a work item, run it against the shared
+/// tiers, deliver each response on the submission's reply path. A
 /// lone request resolves its pool and estimator itself (learned specs go
 /// through the trained-predictor tier, so each `(scenario, kind)` trains at
 /// most once); a sweep handle claims cohorts of the sweep's [`CohortPlan`],
@@ -753,17 +757,17 @@ impl Drop for CampaignServer {
 ///
 /// Campaign panics (a malformed wire request — NaN θ, empty grid — hitting
 /// a validation assert) are confined to the request: the worker drops that
-/// response and lives on to serve the rest of the queue. Letting the
-/// worker die instead would strand every queued request holding a reply
-/// channel, hanging their clients forever.
-fn worker_loop(rx: &Receiver<WorkPayload>, shared: &WorkerShared) {
-    while let Ok(item) = rx.recv() {
+/// response (aborting a lone request's reply) and lives on to serve the
+/// rest of the queue. Letting the worker die instead would strand every
+/// queued request holding a reply path, hanging their clients forever.
+fn worker_loop(requests: &FairQueue<WorkPayload>, shared: &WorkerShared) {
+    while let Some(item) = requests.pop() {
         match item {
             WorkPayload::Single { request, deadline, reply } => {
                 let id = request.id;
                 if deadline.is_some_and(|deadline| Instant::now() > deadline) {
                     shared.queue.expired.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.send(WorkOutcome::Expired { id });
+                    reply.answer(WorkOutcome::Expired { id });
                     continue;
                 }
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -771,12 +775,13 @@ fn worker_loop(rx: &Receiver<WorkPayload>, shared: &WorkerShared) {
                     request.run_with_tiers(&pool, &shared.curves, &shared.predictors)
                 }));
                 match outcome {
-                    // A client that dropped its receiver no longer wants
-                    // the report; that is not a server error.
                     Ok(report) => {
-                        let _ = reply.send(WorkOutcome::Done(Box::new(shared.settle(id, report))));
+                        reply.answer(WorkOutcome::Done(Box::new(shared.settle(id, report))))
                     }
-                    Err(_) => drop_panicked(id),
+                    Err(_) => {
+                        drop_panicked(id);
+                        reply.abort();
+                    }
                 }
             }
             WorkPayload::Sweep(sweep) => {
@@ -844,6 +849,12 @@ impl WorkerShared {
         self.degradation.migrations.fetch_add(report.migrations, Ordering::Relaxed);
         CampaignResponse { id, report }
     }
+}
+
+/// Mutex lock that shrugs off poisoning: no holder of the server's locks
+/// panics mid-update (P1 forbids panicking here).
+pub(crate) fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A campaign panicked. Its message has already been printed by the
@@ -1101,8 +1112,8 @@ mod tests {
         for i in 0..500 {
             match server.try_submit(request(i), None) {
                 Ok(rx) => receivers.push(rx),
-                Err(SubmitError::Overloaded { capacity }) => {
-                    assert_eq!(capacity, 1);
+                Err(SubmitError::Overloaded { capacity, lane }) => {
+                    assert_eq!((capacity, lane), (1, false));
                     saw_overload = true;
                     break;
                 }
@@ -1122,6 +1133,30 @@ mod tests {
             "queue depth {} exceeded capacity {}",
             stats.peak_queue_depth,
             stats.queue_capacity
+        );
+        server.shutdown();
+    }
+
+    /// A full lane is refused as the lane, not as the queue, so the wire's
+    /// `overloaded` frame names the bound that was hit.
+    #[test]
+    fn a_full_lane_is_refused_as_the_lane() {
+        let server = CampaignServer::start(ServerConfig::with_workers(1));
+        let mut receivers = Vec::new();
+        let refusal = (0..500).find_map(|i| {
+            let (tx, rx) = channel::unbounded();
+            receivers.push(rx);
+            server.try_submit_to(7, 1, request(i), None, Box::new(tx)).err()
+        });
+        let refusal = refusal.expect("a one-request lane never filled");
+        assert_eq!(refusal, SubmitError::Overloaded { capacity: 1, lane: true });
+        assert_eq!(
+            refusal.to_string(),
+            "connection lane at capacity (1); retry after backoff"
+        );
+        assert_eq!(
+            SubmitError::Overloaded { capacity: 2, lane: false }.to_string(),
+            "request queue at capacity (2); retry after backoff"
         );
         server.shutdown();
     }

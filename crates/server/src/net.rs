@@ -11,56 +11,74 @@
 //! * `{"stats":true}` — answered with a flattened counter snapshot,
 //! * `{"shutdown":true}` — begins a graceful drain of the whole server.
 //!
-//! **Framing:** one frame, its trailing `\n` included, is one `write` on
-//! a `TCP_NODELAY` socket, so no reply waits on Nagle for a delayed ACK.
-//! The reader never depends on that: it reassembles lines from whatever
-//! segments arrive.
+//! **Framing:** a frame, its trailing `\n` included, never spans two
+//! `write`s on the `TCP_NODELAY` socket, so no reply waits on Nagle for a
+//! delayed ACK. The reader reassembles lines from whatever segments arrive.
 //!
 //! The server answers every accepted request with exactly one frame: a
 //! campaign response, or a typed error frame whose `kind` is one of
-//! [`spottune_core::wire::registered_error_kinds`]. Nothing is silently
-//! dropped — a connection that stays alive sees one reply per request.
+//! [`spottune_core::wire::registered_error_kinds`] — in *completion*
+//! order, the id saying which request a frame answers.
 //!
 //! ## Robustness model
 //!
 //! * **Admission control** — each connection owns a token bucket
 //!   ([`AdmissionConfig`]); a flood past the refill rate gets `throttled`
 //!   frames instead of queue space.
-//! * **Fairness** — admitted requests enter a small per-connection
-//!   staging queue; a single dispatcher drains the staging queues
-//!   round-robin (one request per connection per pass) into the core's
-//!   bounded queue, so one chatty client cannot starve the rest. When a
-//!   pass moves nothing the dispatcher blocks on a doorbell, rung when a
-//!   request is staged, when a connection hits EOF and when the drain
-//!   begins — it neither polls nor sleeps.
-//! * **Backpressure** — the core queue is bounded
-//!   ([`ServerConfig::queue_capacity`](crate::ServerConfig)); an
-//!   over-capacity submit comes back as an `overloaded` frame.
+//! * **Fairness** — one reader thread per connection pushes its requests
+//!   into the connection's lane of the core's fair queue; the workers
+//!   serve the lanes round robin, so one chatty client cannot starve the
+//!   rest, and each writes its request's reply on the connection itself.
+//! * **Backpressure** — a lane holds at most
+//!   [`AdmissionConfig::staging_capacity`] requests and the whole queue at
+//!   most [`ServerConfig::queue_capacity`](crate::ServerConfig); a request
+//!   past either bound gets an `overloaded` frame.
 //! * **Deadlines** — `deadline_ms` starts counting at receipt; a request
 //!   still queued past its deadline is cancelled (never run) and
 //!   answered with a `deadline-exceeded` frame.
+//! * **Slow readers** — a reply goes straight to the socket while the
+//!   client keeps up; once the socket stays full, the backlog goes to a
+//!   flusher thread of the connection's own, so no worker waits on a slow
+//!   client. A client still behind [`WRITE_STALL`] later, or with more
+//!   than 4 MiB of replies waiting, is cut off.
 //! * **Graceful drain** — on shutdown the listener closes, new requests
-//!   get `draining` frames, staged work is flushed into the core, queued
-//!   campaigns finish, every pending response is written, and only then
-//!   do the sockets close and [`NetServer::run`] return.
+//!   get `draining` frames, the core queue closes, queued campaigns finish
+//!   and their workers write every pending response, and only then do the
+//!   sockets close and [`NetServer::run`] return.
 //!
 //! Connection handling never panics: malformed frames, truncated lines,
 //! mid-sweep disconnects and write failures are all confined to the
 //! connection that caused them.
 
-use crate::{CampaignServer, ServerConfig, SubmitError, WorkOutcome};
-use crossbeam::channel::{self, Receiver, Sender};
-use spottune_core::wire::{
-    self, ClientFrame, ErrorFrame, ErrorKind,
-};
-use spottune_core::CampaignRequest;
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::{lock_clean, CampaignServer, ReplySink, ServerConfig, SubmitError, WorkOutcome};
+use spottune_core::wire::{self, ClientFrame, ErrorFrame, ErrorKind};
+use std::io::ErrorKind::{Interrupted, WouldBlock};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long a client may stay behind on its replies. A reply is a few KB
+/// and a reading client empties its socket in microseconds, so a client
+/// whose replies have backed up for two seconds without catching up has
+/// stopped reading, or reads far slower than it asks; its connection is
+/// then shut down. Until then its backlog is written by a flusher thread
+/// of its own, never by a worker. The ledger's replies arrive in
+/// milliseconds, far from it.
+pub const WRITE_STALL: Duration = Duration::from_secs(2);
+
+/// How long a direct write waits on a full socket before handing its rest
+/// to a flusher thread (the socket's send timeout outside a flush). The
+/// kernel rounds it up to a scheduler tick: a worker loses a few
+/// milliseconds at most each time a client's socket fills up.
+const HANDOFF: Duration = Duration::from_millis(1);
+
+/// Reply bytes a connection may have waiting; a frame that would pass it
+/// cuts the client off. A full default lane of replies (256 of about
+/// 1.1 KB) fits about fifteen times over.
+const MAX_BACKLOG: usize = 4 << 20;
 
 /// Per-connection token-bucket admission knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,8 +89,8 @@ pub struct AdmissionConfig {
     /// Sustained admission rate in requests/second; `0.0` disables
     /// throttling entirely.
     pub refill_per_sec: f64,
-    /// Staging-queue bound per connection; requests admitted past a full
-    /// staging queue get an `overloaded` frame.
+    /// Bound on the connection's lane of the core's fair queue: requests
+    /// admitted while the lane holds this many get an `overloaded` frame.
     pub staging_capacity: usize,
 }
 
@@ -129,62 +147,186 @@ impl TokenBucket {
     }
 }
 
-/// A request admitted by a connection, waiting for the dispatcher.
-struct Staged {
-    request: CampaignRequest,
-    deadline: Option<Instant>,
+#[derive(Default)]
+struct Outbox {
+    /// Bytes waiting for the write in progress.
+    pending: Vec<u8>,
+    /// A write is in progress: a direct one, or the flusher's.
+    writing: bool,
+    /// Set by a failed write, a client left behind too long, or the drain:
+    /// the socket is shut down and later frames are dropped.
+    dead: bool,
+    /// The connection's latest flusher thread, for the drain to join.
+    flusher: Option<JoinHandle<()>>,
 }
 
-/// The write half of a connection, shared by the reader (error/stats
-/// frames), the dispatcher (submit refusals) and the responder
-/// (responses). Write errors mean the client left; they are ignored —
-/// the reader observes the disconnect and retires the connection.
-#[derive(Clone)]
+/// A connection's socket, shared by its reader (refusals, stats frames)
+/// and the workers running its requests (replies). Frames that find a
+/// write in progress wait for it in the outbox. Once the socket stays full
+/// for [`HANDOFF`], the outbox goes to a flusher thread, so a worker never
+/// waits on a slow client; the reader instead waits for the write in
+/// progress to end, so a client that stops reading stops being read.
 struct SharedWriter {
-    stream: Arc<Mutex<TcpStream>>,
+    stream: TcpStream,
+    outbox: Mutex<Outbox>,
+    /// Signalled when a write in progress ends or the connection dies.
+    idle: Condvar,
 }
 
 impl SharedWriter {
-    /// Writes `frame` and its newline in one `write_all`. The buffer is
-    /// built before the lock, and the lock is what keeps frames from the
-    /// reader, the dispatcher and the responder from interleaving.
-    fn send_line(&self, mut frame: String) {
-        frame.push('\n');
-        let _ = lock_clean(&self.stream).write_all(frame.as_bytes());
+    fn new(stream: TcpStream) -> Arc<Self> {
+        let outbox = Mutex::new(Outbox::default());
+        Arc::new(SharedWriter { stream, outbox, idle: Condvar::new() })
     }
 
-    fn send_error(&self, id: Option<u64>, kind: ErrorKind, message: impl Into<String>) {
-        self.send_line(wire::encode_error_frame(&ErrorFrame {
-            id,
-            kind,
-            message: message.into(),
-        }));
+    fn send_error(self: &Arc<Self>, id: Option<u64>, kind: ErrorKind, message: impl Into<String>) {
+        self.write(error_frame(id, kind, message), true);
+    }
+
+    /// Queues `frame` plus a newline — once the write in progress ends, or
+    /// with `!wait` behind it — and writes the outbox if no write is in
+    /// progress. A client with [`MAX_BACKLOG`] bytes waiting is cut off.
+    fn write(self: &Arc<Self>, frame: String, wait: bool) {
+        let mut out = if wait { self.idle() } else { lock_clean(&self.outbox) };
+        if out.dead || out.pending.len() + frame.len() >= MAX_BACKLOG {
+            return self.kill(&mut out);
+        }
+        out.pending.extend_from_slice(frame.as_bytes());
+        out.pending.push(b'\n');
+        if !out.writing {
+            out.writing = true;
+            self.drain(out, None);
+        }
+    }
+
+    /// Writes the outbox until it is empty. A direct writer (`deadline`
+    /// `None`) that finds the socket full hands the rest to a new flusher
+    /// thread; the flusher cuts the client off if it is not done by its
+    /// `deadline`.
+    fn drain<'a>(self: &'a Arc<Self>, out: MutexGuard<'a, Outbox>, deadline: Option<Instant>) {
+        let mut out = out;
+        while !out.dead && !out.pending.is_empty() {
+            let mut batch = std::mem::take(&mut out.pending);
+            drop(out);
+            let written = self.write_once(&batch, deadline);
+            out = lock_clean(&self.outbox);
+            match written {
+                Ok(n) if n == batch.len() => continue,
+                Ok(n) => drop(batch.drain(..n)),
+                // The send timeout on a full socket, or a signal: not gone.
+                Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+                Err(_) => {
+                    self.kill(&mut out);
+                    break;
+                }
+            }
+            batch.append(&mut out.pending);
+            out.pending = batch;
+            if deadline.is_none() {
+                let writer = Arc::clone(self);
+                let deadline = Some(Instant::now() + WRITE_STALL);
+                let flush = move || writer.drain(lock_clean(&writer.outbox), deadline);
+                match std::thread::Builder::new().spawn(flush) {
+                    Ok(flusher) => {
+                        // An earlier flusher has released `writing`: it is done.
+                        out.flusher = Some(flusher);
+                        return;
+                    }
+                    Err(_) => self.kill(&mut out),
+                }
+            }
+        }
+        if deadline.is_some() {
+            let _ = self.stream.set_write_timeout(Some(HANDOFF));
+        }
+        out.writing = false;
+        drop(out);
+        self.idle.notify_all();
+    }
+
+    /// One `write`: outside a flush it waits [`HANDOFF`] at most on a full
+    /// socket (the socket's send timeout); a flusher's waits until its
+    /// `deadline` at most, and fails once that has passed.
+    fn write_once(&self, batch: &[u8], deadline: Option<Instant>) -> io::Result<usize> {
+        if let Some(deadline) = deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_write_timeout(Some(left))?;
+        }
+        (&self.stream).write(batch)
+    }
+
+    /// Waits for the write in progress, shuts the socket down and joins
+    /// the last flusher.
+    fn close(&self) {
+        let flusher = {
+            let mut out = self.idle();
+            self.kill(&mut out);
+            out.flusher.take()
+        };
+        if let Some(flusher) = flusher {
+            let _ = flusher.join();
+        }
+    }
+
+    /// Marks the connection dead and shuts the socket down, which fails a
+    /// write in progress at once and ends the reader.
+    fn kill(&self, out: &mut Outbox) {
+        out.dead = true;
+        out.pending = Vec::new();
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.idle.notify_all();
+    }
+
+    /// The outbox once no write is in progress (or the connection is dead).
+    fn idle(&self) -> MutexGuard<'_, Outbox> {
+        let mut out = lock_clean(&self.outbox);
+        while out.writing && !out.dead {
+            out = self.idle.wait(out).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+        out
     }
 }
 
-/// Mutex lock that shrugs off poisoning: every holder only mutates
-/// state that stays coherent line-by-line, so continuing with the inner
-/// value is always safe (and P1 forbids panicking here).
-fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+fn error_frame(id: Option<u64>, kind: ErrorKind, message: impl Into<String>) -> String {
+    wire::encode_error_frame(&ErrorFrame { id, kind, message: message.into() })
 }
 
-/// One connection's entry in the dispatcher's registry.
-struct ConnSlot {
-    staging: Arc<Mutex<VecDeque<Staged>>>,
-    writer: SharedWriter,
-    /// Hands `(request id, outcome receiver)` pairs to the responder in
-    /// submission order.
-    outcome_tx: Sender<(u64, Receiver<WorkOutcome>)>,
-    /// Cleared by the reader at EOF; the dispatcher then retires the slot
-    /// once its staging queue is empty.
-    open: Arc<AtomicBool>,
+/// A queued request's way back to its connection: the worker that runs
+/// the request writes the reply.
+struct PendingReply {
+    id: u64,
+    writer: Arc<SharedWriter>,
+}
+
+impl ReplySink for PendingReply {
+    fn answer(self: Box<Self>, outcome: WorkOutcome) {
+        let frame = match outcome {
+            WorkOutcome::Done(response) => wire::encode_response(&response),
+            WorkOutcome::Expired { id } => error_frame(
+                Some(id),
+                ErrorKind::DeadlineExceeded,
+                "deadline passed while queued; campaign cancelled",
+            ),
+        };
+        self.writer.write(frame, false);
+    }
+
+    /// The campaign panicked: a typed refusal instead of silence.
+    fn abort(self: Box<Self>) {
+        let frame =
+            error_frame(Some(self.id), ErrorKind::Rejected, "campaign aborted without a response");
+        self.writer.write(frame, false);
+    }
 }
 
 /// Front-end counters, folded into the stats frame next to
 /// [`ServerStats`](crate::ServerStats).
 #[derive(Default)]
 struct NetCounters {
+    /// Connections accepted; the `n`-th gets lane `n` (0 is in-process).
     connections: AtomicU64,
     connections_active: AtomicU64,
     throttled: AtomicU64,
@@ -196,19 +338,9 @@ struct Inner {
     admission: AdmissionConfig,
     addr: SocketAddr,
     draining: AtomicBool,
-    /// The dispatcher's wake-up: holds at most one pending ring, so rings
-    /// that arrive while one is pending coalesce and none is lost.
-    doorbell: Sender<()>,
     counters: NetCounters,
-    registry: Mutex<Vec<ConnSlot>>,
-    /// Responder threads: joined *before* the sockets close, so every
-    /// pending response reaches the wire.
-    responder_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Reader threads: unblocked by the socket shutdown, joined last.
-    reader_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// TCP streams of live connections, kept so drain can unblock
-    /// readers by shutting the sockets down after the final flush.
-    sockets: Mutex<Vec<TcpStream>>,
+    /// Every connection and its reader, for the drain to close and join.
+    connections: Mutex<Vec<(Arc<SharedWriter>, JoinHandle<()>)>>,
 }
 
 impl Inner {
@@ -226,20 +358,11 @@ impl Inner {
     }
 
     /// Flips the draining flag and nudges the accept loop awake with a
-    /// throwaway connection to our own listener. The dispatcher is rung
-    /// only *after* the flip: a ring before it could be consumed by a pass
-    /// that still reads `draining == false`, and the drain would hang.
+    /// throwaway connection to our own listener.
     fn request_shutdown(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
-            self.ring();
             let _ = TcpStream::connect(self.addr);
         }
-    }
-
-    /// Wakes the dispatcher; rung by a reader after staging a request, by
-    /// a reader at EOF, and by [`Inner::request_shutdown`].
-    fn ring(&self) {
-        let _ = self.doorbell.try_send(());
     }
 }
 
@@ -262,8 +385,6 @@ impl ShutdownHandle {
 pub struct NetServer {
     listener: TcpListener,
     inner: Arc<Inner>,
-    /// The dispatcher's end of [`Inner::doorbell`].
-    doorbell: Receiver<()>,
 }
 
 impl NetServer {
@@ -276,20 +397,15 @@ impl NetServer {
     pub fn bind(addr: &str, config: NetServerConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let (doorbell, doorbell_rx) = channel::bounded(1);
         let inner = Arc::new(Inner {
             core: CampaignServer::start(config.server),
             admission: config.admission,
             addr,
             draining: AtomicBool::new(false),
-            doorbell,
             counters: NetCounters::default(),
-            registry: Mutex::new(Vec::new()),
-            responder_threads: Mutex::new(Vec::new()),
-            reader_threads: Mutex::new(Vec::new()),
-            sockets: Mutex::new(Vec::new()),
+            connections: Mutex::new(Vec::new()),
         });
-        Ok(NetServer { listener, inner, doorbell: doorbell_rx })
+        Ok(NetServer { listener, inner })
     }
 
     /// The bound address (resolves the ephemeral port of `bind(":0")`).
@@ -304,20 +420,16 @@ impl NetServer {
 
     /// Serves connections until a shutdown is requested (wire
     /// `{"shutdown":true}` or [`ShutdownHandle::shutdown`]), then drains
-    /// gracefully: stops accepting, flushes staged work into the core,
-    /// finishes queued campaigns, writes every pending response, closes
-    /// the sockets and joins every thread — including the worker pool.
+    /// gracefully: stops accepting, closes the core queue, finishes queued
+    /// campaigns, writes every pending response, closes the sockets and
+    /// joins every thread — including the worker pool.
     ///
     /// # Errors
     ///
     /// Returns accept-loop I/O errors other than transient per-connection
     /// failures (which are skipped).
     pub fn run(self) -> std::io::Result<()> {
-        let NetServer { listener, inner, doorbell } = self;
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || dispatcher_loop(&inner, &doorbell))
-        };
+        let NetServer { listener, inner } = self;
         loop {
             let (stream, _) = match listener.accept() {
                 Ok(accepted) => accepted,
@@ -328,93 +440,50 @@ impl NetServer {
             };
             if inner.draining.load(Ordering::SeqCst) {
                 // The wake-up connection (or a late client): refuse.
-                let writer = match stream.try_clone() {
-                    Ok(clone) => SharedWriter { stream: Arc::new(Mutex::new(clone)) },
-                    Err(_) => continue,
-                };
-                writer.send_error(None, ErrorKind::Draining, "server is shutting down");
+                SharedWriter::new(stream).send_error(None, ErrorKind::Draining, "shutting down");
                 break;
             }
             spawn_connection(&inner, stream);
         }
         drop(listener);
-        // 1. Dispatcher flushes every staging queue, then exits.
-        let _ = dispatcher.join();
-        // 2. Core drains: queued campaigns finish, workers exit idle.
-        inner.core.begin_drain();
-        // 3. Responders flush the last responses and exit (their feed
-        //    channels closed when the dispatcher retired every slot);
-        //    joining them *before* the sockets close is what guarantees
-        //    every pending response reaches the wire.
-        let responders: Vec<JoinHandle<()>> =
-            lock_clean(&inner.responder_threads).drain(..).collect();
-        for handle in responders {
-            let _ = handle.join();
-        }
-        // 4. Unblock readers with a socket shutdown and join them.
-        for socket in lock_clean(&inner.sockets).drain(..) {
-            let _ = socket.shutdown(Shutdown::Both);
-        }
-        let readers: Vec<JoinHandle<()>> = lock_clean(&inner.reader_threads).drain(..).collect();
-        for handle in readers {
-            let _ = handle.join();
+        // 1. Close the core queue (a racing push gets `draining`), join the
+        //    workers: every queued request has run and its reply is written
+        //    or handed to a write in progress.
+        inner.core.finish();
+        // 2. Close the sockets once their last write ends; that unblocks
+        //    the readers, joined last.
+        let connections = std::mem::take(&mut *lock_clean(&inner.connections));
+        for (writer, reader) in connections {
+            writer.close();
+            let _ = reader.join();
         }
         Ok(())
     }
 }
 
-/// Spawns the reader + responder pair for one accepted connection.
+/// Spawns the reader for one accepted connection, on the next lane.
 fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    // A socket that refuses the option still works, only slower.
+    // A socket that refuses an option still works, slower or unbounded.
     let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    inner.counters.connections.fetch_add(1, Ordering::Relaxed);
+    let _ = stream.set_write_timeout(Some(HANDOFF));
+    let lane = inner.counters.connections.fetch_add(1, Ordering::Relaxed) + 1;
     inner.counters.connections_active.fetch_add(1, Ordering::Relaxed);
-    let writer = SharedWriter { stream: Arc::new(Mutex::new(write_half)) };
-    let staging = Arc::new(Mutex::new(VecDeque::new()));
-    let open = Arc::new(AtomicBool::new(true));
-    let (outcome_tx, outcome_rx) = channel::unbounded::<(u64, Receiver<WorkOutcome>)>();
-    lock_clean(&inner.registry).push(ConnSlot {
-        staging: Arc::clone(&staging),
-        writer: writer.clone(),
-        outcome_tx,
-        open: Arc::clone(&open),
-    });
-    lock_clean(&inner.sockets).push(stream);
-    let responder = {
-        let writer = writer.clone();
-        std::thread::spawn(move || responder_loop(&outcome_rx, &writer))
-    };
+    let writer = SharedWriter::new(stream);
     let reader = {
-        let inner = Arc::clone(inner);
+        let (inner, writer) = (Arc::clone(inner), Arc::clone(&writer));
         std::thread::spawn(move || {
-            reader_loop(&inner, read_half, &writer, &staging);
-            open.store(false, Ordering::SeqCst);
-            // Wake the dispatcher so it retires the slot now, not at the
-            // next unrelated ring.
-            inner.ring();
+            reader_loop(&inner, lane, &writer);
             inner.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
         })
     };
-    lock_clean(&inner.responder_threads).push(responder);
-    lock_clean(&inner.reader_threads).push(reader);
+    lock_clean(&inner.connections).push((writer, reader));
 }
 
 /// Reads frames off one connection until EOF, answering admin frames
-/// inline and staging admitted requests for the dispatcher.
-fn reader_loop(
-    inner: &Arc<Inner>,
-    read_half: TcpStream,
-    writer: &SharedWriter,
-    staging: &Mutex<VecDeque<Staged>>,
-) {
+/// inline and pushing admitted requests into the connection's `lane`.
+fn reader_loop(inner: &Inner, lane: u64, writer: &Arc<SharedWriter>) {
     let mut bucket = TokenBucket::new(&inner.admission);
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(&writer.stream);
     let mut line = Vec::new();
     loop {
         line.clear();
@@ -445,13 +514,13 @@ fn reader_loop(
             continue;
         }
         match wire::decode_client_frame(text) {
-            Ok(ClientFrame::Stats) => writer.send_line(inner.stats_frame()),
+            Ok(ClientFrame::Stats) => writer.write(inner.stats_frame(), true),
             Ok(ClientFrame::Shutdown) => {
                 // Ack with a stats snapshot *before* flipping the drain
                 // flag: once the drain starts, the socket teardown races
                 // this write and the requester could lose its ack.
                 // Responses still flush before close either way.
-                writer.send_line(inner.stats_frame());
+                writer.write(inner.stats_frame(), true);
                 inner.request_shutdown();
             }
             Ok(ClientFrame::Request { request, deadline_ms }) => {
@@ -465,33 +534,24 @@ fn reader_loop(
                     );
                     continue;
                 }
-                let deadline =
-                    deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                let mut queue = lock_clean(staging);
-                // The draining check must happen under the staging lock:
-                // the dispatcher's final flush serializes on it, so a
-                // request staged here is guaranteed to be flushed.
-                if inner.draining.load(Ordering::SeqCst) {
-                    drop(queue);
-                    writer.send_error(
-                        Some(id),
-                        ErrorKind::Draining,
-                        "server is shutting down; no new work accepted",
-                    );
-                    continue;
-                }
-                if queue.len() >= inner.admission.staging_capacity {
-                    drop(queue);
-                    writer.send_error(
-                        Some(id),
-                        ErrorKind::Overloaded,
-                        "connection staging queue full; retry after backoff",
-                    );
-                    continue;
-                }
-                queue.push_back(Staged { request, deadline });
-                drop(queue);
-                inner.ring();
+                let refusal = if inner.draining.load(Ordering::SeqCst) {
+                    SubmitError::Draining
+                } else {
+                    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+                    let reply = Box::new(PendingReply { id, writer: Arc::clone(writer) });
+                    let cap = inner.admission.staging_capacity;
+                    let Err(refusal) = inner.core.try_submit_to(lane, cap, request, deadline, reply)
+                    else {
+                        continue;
+                    };
+                    refusal
+                };
+                let kind = match refusal {
+                    SubmitError::Overloaded { .. } => ErrorKind::Overloaded,
+                    SubmitError::Rejected(_) => ErrorKind::Rejected,
+                    SubmitError::Draining => ErrorKind::Draining,
+                };
+                writer.send_error(Some(id), kind, refusal.to_string());
             }
             Err(e) => {
                 inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
@@ -501,120 +561,11 @@ fn reader_loop(
     }
 }
 
-/// Round-robin dispatcher: one staged request per connection per pass
-/// into the core's bounded queue. Submit refusals become typed error
-/// frames on the owning connection. A pass that moves nothing blocks on
-/// the doorbell: every event that can give the next pass work (a stage,
-/// an EOF, the drain) rings it after it happened, so a ring that lands
-/// between the pass and the wait stays pending and the wait returns at
-/// once. Exits only after a drain has been requested *and* every staging
-/// queue has been flushed.
-fn dispatcher_loop(inner: &Arc<Inner>, doorbell: &Receiver<()>) {
-    loop {
-        let draining = inner.draining.load(Ordering::SeqCst);
-        let slots: Vec<usize> = (0..lock_clean(&inner.registry).len()).collect();
-        let mut moved = false;
-        for idx in slots {
-            let Some((staged, writer, outcome_tx)) = ({
-                let registry = lock_clean(&inner.registry);
-                registry.get(idx).map(|slot| {
-                    let mut queue = lock_clean(&slot.staging);
-                    let batch: Vec<Staged> = if draining {
-                        // Final flush: take everything so nothing staged
-                        // before the drain flag is ever dropped.
-                        queue.drain(..).collect()
-                    } else {
-                        queue.pop_front().into_iter().collect()
-                    };
-                    (batch, slot.writer.clone(), slot.outcome_tx.clone())
-                })
-            }) else {
-                continue;
-            };
-            for item in staged {
-                moved = true;
-                submit_staged(inner, item, &writer, &outcome_tx);
-            }
-        }
-        // Retire connections that hit EOF and have nothing staged;
-        // dropping the slot's outcome sender lets the responder finish.
-        lock_clean(&inner.registry).retain(|slot| {
-            slot.open.load(Ordering::SeqCst) || !lock_clean(&slot.staging).is_empty()
-        });
-        if draining {
-            // The flush above happened entirely after the draining flag
-            // was set; readers refuse new stages from now on, so the
-            // queues stay empty. Drop every slot so responders wind down.
-            lock_clean(&inner.registry).clear();
-            return;
-        }
-        if !moved {
-            // `inner` holds the sender, so this returns only on a ring.
-            let _ = doorbell.recv();
-        }
-    }
-}
-
-/// Offers one staged request to the core, converting refusals to frames.
-fn submit_staged(
-    inner: &Arc<Inner>,
-    item: Staged,
-    writer: &SharedWriter,
-    outcome_tx: &Sender<(u64, Receiver<WorkOutcome>)>,
-) {
-    let id = item.request.id;
-    match inner.core.try_submit(item.request, item.deadline) {
-        Ok(rx) => {
-            // The responder owns delivery from here; if it is already
-            // gone the client has disconnected and the response is moot.
-            let _ = outcome_tx.send((id, rx));
-        }
-        Err(SubmitError::Overloaded { capacity }) => writer.send_error(
-            Some(id),
-            ErrorKind::Overloaded,
-            format!("request queue at capacity ({capacity}); retry after backoff"),
-        ),
-        Err(SubmitError::Rejected(reason)) => {
-            writer.send_error(Some(id), ErrorKind::Rejected, reason)
-        }
-        Err(SubmitError::Draining) => writer.send_error(
-            Some(id),
-            ErrorKind::Draining,
-            "server is shutting down; no new work accepted",
-        ),
-    }
-}
-
-/// Writes one frame per submitted request, in submission order: the
-/// response, a `deadline-exceeded` frame, or (if the campaign died
-/// without a verdict) a `rejected` frame — never silence.
-fn responder_loop(feed: &Receiver<(u64, Receiver<WorkOutcome>)>, writer: &SharedWriter) {
-    while let Ok((id, rx)) = feed.recv() {
-        match rx.recv() {
-            Ok(WorkOutcome::Done(response)) => {
-                writer.send_line(wire::encode_response(&response));
-            }
-            Ok(WorkOutcome::Expired { id }) => writer.send_error(
-                Some(id),
-                ErrorKind::DeadlineExceeded,
-                "deadline passed while queued; campaign cancelled",
-            ),
-            // The outcome lane died without a verdict: the campaign
-            // panicked mid-run. Typed refusal instead of silence.
-            Err(_) => writer.send_error(
-                Some(id),
-                ErrorKind::Rejected,
-                "campaign aborted without a response",
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spottune_core::wire::ServerFrame;
-    use spottune_core::Approach;
+    use spottune_core::{Approach, CampaignRequest};
     use spottune_market::{EstimatorSpec, MarketScenario};
     use spottune_mlsim::{Algorithm, Workload};
 
@@ -659,30 +610,6 @@ mod tests {
         assert!(get("lane_jobs") <= get("lane_slots") && get("lane_jobs") > Some(0), "{fields:?}");
         assert_eq!(get("connections_active"), Some(1));
 
-        handle.shutdown();
-        server.join().expect("server thread must not panic").expect("clean run");
-    }
-
-    /// A hang-up rings the doorbell: the parked dispatcher retires the
-    /// slot at once, with no other traffic to wake it.
-    #[test]
-    fn hang_up_retires_the_slot_without_other_traffic() {
-        let config =
-            NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
-        let net = NetServer::bind("127.0.0.1:0", config).expect("bind ephemeral");
-        let (addr, handle, inner) = (net.local_addr(), net.handle(), Arc::clone(&net.inner));
-        let server = std::thread::spawn(move || net.run());
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(format!("{}\n", wire::encode_stats_request()).as_bytes()).expect("send");
-        BufReader::new(&stream).read_line(&mut String::new()).expect("stats frame");
-        assert_eq!(lock_clean(&inner.registry).len(), 1, "the slot is registered before its reader");
-
-        drop(stream);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !lock_clean(&inner.registry).is_empty() {
-            assert!(Instant::now() < deadline, "the hung-up connection's slot was never retired");
-            std::thread::yield_now();
-        }
         handle.shutdown();
         server.join().expect("server thread must not panic").expect("clean run");
     }

@@ -5,6 +5,16 @@
 //! [`CampaignRequest::run_serial`], and a graceful drain flushes every
 //! pending response before the sockets close.
 //!
+//! The fair queue is checked over real sockets too: a backlogged
+//! connection does not hold back another one, pipelined replies come back
+//! once each in completion order, and a client that never reads, or reads
+//! too slowly, is cut off after [`WRITE_STALL`] without stalling anyone
+//! else.
+//!
+//! `RawConn::send` writes a line and its newline separately, so every test
+//! also feeds the server frames split across segments; the timing tests
+//! use `RawConn::send_whole` instead.
+//!
 //! `the_suite_covers_the_whole_error_kind_registry` pins
 //! [`wire::registered_error_kinds`] to the kinds provoked here: a new
 //! error kind without a wire-level test fails this suite.
@@ -13,12 +23,24 @@ use spottune_core::prelude::*;
 use spottune_core::wire::{self, ErrorKind, ServerFrame};
 use spottune_market::{EstimatorSpec, MarketScenario};
 use spottune_mlsim::prelude::*;
-use spottune_server::net::{AdmissionConfig, NetServer, NetServerConfig, ShutdownHandle};
+use spottune_server::net::{
+    AdmissionConfig, NetServer, NetServerConfig, ShutdownHandle, WRITE_STALL,
+};
 use spottune_server::ServerConfig;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long a test waits before calling a wake-up or a disconnect lost.
+const LIVENESS: Duration = Duration::from_secs(5);
+
+/// Admission that never throttles: these tests target the queue.
+const UNTHROTTLED: AdmissionConfig =
+    AdmissionConfig { burst: 1024, refill_per_sec: 0.0, staging_capacity: 256 };
 
 fn request(id: u64, steps: u64, seed: u64) -> CampaignRequest {
     let base = Workload::benchmark(Algorithm::LoR);
@@ -50,13 +72,23 @@ struct RawConn {
 impl RawConn {
     fn open(addr: SocketAddr) -> RawConn {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         RawConn { reader: BufReader::new(stream.try_clone().expect("clone")), writer: stream }
     }
 
+    /// The line and its newline in two writes, so every test also feeds
+    /// the server frames split across segments.
     fn send(&mut self, line: &str) {
         self.writer.write_all(line.as_bytes()).expect("send");
         self.writer.write_all(b"\n").expect("send newline");
         self.writer.flush().expect("flush");
+    }
+
+    /// The line and its newline in one write, for the timing tests: the
+    /// server then sees the whole frame at once, and a timing measures the
+    /// server, not a second segment.
+    fn send_whole(&mut self, line: &str) {
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("send");
     }
 
     /// Reads exactly one server frame (blocks until it arrives).
@@ -94,6 +126,47 @@ fn kind_counts(frames: &[ServerFrame]) -> BTreeMap<&'static str, usize> {
 fn serial_reference(request: &CampaignRequest) -> spottune_core::HptReport {
     let pool = request.scenario.build();
     request.run_serial(&pool, &CurveCache::global())
+}
+
+/// One counter off a stats frame, asked for on `conn`.
+fn stat(conn: &mut RawConn, name: &str) -> u64 {
+    conn.send_whole(&wire::encode_stats_request());
+    match conn.recv() {
+        ServerFrame::Stats(fields) => {
+            fields.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v)
+        }
+        other => panic!("expected a stats frame, got {other:?}"),
+    }
+}
+
+/// Asks for `name` on `conn` until it satisfies `ok`, failing after
+/// `patience`.
+fn await_stat(conn: &mut RawConn, name: &str, patience: Duration, ok: impl Fn(u64) -> bool) {
+    let deadline = Instant::now() + patience;
+    loop {
+        let value = stat(conn, name);
+        if ok(value) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{name} stuck at {value} for {patience:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A socket timeout, as opposed to a closed connection.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+/// Triggers the drain and requires `run` to return cleanly in time.
+fn drain(handle: &ShutdownHandle, server: JoinHandle<std::io::Result<()>>) {
+    handle.shutdown();
+    let deadline = Instant::now() + LIVENESS;
+    while !server.is_finished() {
+        assert!(Instant::now() < deadline, "NetServer::run did not return within {LIVENESS:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.join().expect("server thread must not panic").expect("clean run");
 }
 
 /// One connection against a deliberately tiny server (one worker, queue
@@ -162,6 +235,7 @@ fn five_error_kinds_and_a_flushed_response_on_one_connection() {
                 ErrorKind::Draining => assert_eq!(e.id, Some(30)),
                 ErrorKind::Overloaded => {
                     assert!(e.id.is_some_and(|id| (10..16).contains(&id)), "{e:?}");
+                    assert!(e.message.starts_with("request queue at capacity (2)"), "{e:?}");
                 }
                 ErrorKind::Throttled => panic!("throttling is disabled here: {e:?}"),
             }
@@ -427,4 +501,248 @@ fn graceful_drain_flushes_every_pending_response() {
     }
     seen.sort_unstable();
     assert_eq!(seen, vec![1, 2, 3], "the drain must flush every pending response");
+}
+
+/// A line of `[` one byte short of [`wire::MAX_FRAME_BYTES`] fits the
+/// frame cap, so it reaches the decoder, which refuses it at
+/// [`wire::MAX_DEPTH`] instead of recursing half a million levels down the
+/// reader's stack: exactly one `malformed` frame, the connection keeps
+/// serving, and so does the server.
+#[test]
+fn a_line_of_brackets_gets_one_malformed_frame_and_the_server_keeps_serving() {
+    let config =
+        NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
+    let (addr, handle, server) = serve(config);
+    let mut conn = RawConn::open(addr);
+    conn.send(&"[".repeat(wire::MAX_FRAME_BYTES as usize - 1));
+    match conn.recv() {
+        ServerFrame::Error(e) => {
+            assert_eq!((e.kind, e.id), (ErrorKind::Malformed, None));
+            assert!(e.message.contains("nesting deeper than"), "refused by the depth cap: {e:?}");
+        }
+        other => panic!("expected a malformed frame, got {other:?}"),
+    }
+    // Strict request/reply from here: a second reply to the long line
+    // would surface as the answer to the stats request.
+    assert_eq!(stat(&mut conn, "malformed_frames"), 1);
+
+    let mut other = RawConn::open(addr);
+    let req = request(1, 20, 3);
+    other.send(&wire::encode_request_frame(&req, None));
+    match other.recv() {
+        ServerFrame::Response(response) => {
+            assert_eq!((response.id, &response.report), (1, &serial_reference(&req)));
+        }
+        other => panic!("expected the campaign's response, got {other:?}"),
+    }
+
+    drain(&handle, server);
+    assert!(conn.read_to_eof().is_empty(), "one reply per line, nothing stray");
+    assert!(other.read_to_eof().is_empty(), "one reply per line, nothing stray");
+}
+
+/// Fairness: one worker, connection A with about fifty requests queued,
+/// then connection B sends one. The workers serve the lanes round robin,
+/// so B waits for at most the campaign running and one more of A's — its
+/// reply arrives before A's fourth since B sent. (Behind a single FIFO, B
+/// would wait for all of A's backlog.) Every reply equals `run_serial`.
+#[test]
+fn a_backlogged_connection_does_not_hold_back_another() {
+    let config = NetServerConfig { server: ServerConfig::with_workers(1), admission: UNTHROTTLED };
+    let (addr, handle, server) = serve(config);
+    let backlog: Vec<CampaignRequest> = (0..50).map(|i| request(1000 + i, 600, i)).collect();
+    let mut a = RawConn::open(addr);
+    for req in &backlog {
+        a.send_whole(&wire::encode_request_frame(req, None));
+    }
+    // A's replies are counted as they arrive.
+    let a_replies = Arc::new(AtomicUsize::new(0));
+    let a_reader = {
+        let a_replies = Arc::clone(&a_replies);
+        std::thread::spawn(move || {
+            let frames: Vec<ServerFrame> = (0..50)
+                .map(|_| {
+                    let frame = a.recv();
+                    a_replies.fetch_add(1, Ordering::SeqCst);
+                    frame
+                })
+                .collect();
+            (frames, a)
+        })
+    };
+
+    let mut b = RawConn::open(addr);
+    await_stat(&mut b, "queue_depth", LIVENESS, |depth| depth >= 40);
+    let lone = request(2000, 20, 99);
+    let before = a_replies.load(Ordering::SeqCst);
+    b.send_whole(&wire::encode_request_frame(&lone, None));
+    let reply = b.recv();
+    let overtaken_by = a_replies.load(Ordering::SeqCst) - before;
+    assert!(overtaken_by < 4, "B's one request waited behind {overtaken_by} of A's");
+    match reply {
+        ServerFrame::Response(response) => {
+            assert_eq!((response.id, &response.report), (lone.id, &serial_reference(&lone)));
+        }
+        other => panic!("expected B's response, got {other:?}"),
+    }
+
+    let (frames, a) = a_reader.join().expect("A's reader must not panic");
+    let mut ids = Vec::new();
+    for frame in frames {
+        let ServerFrame::Response(response) = frame else {
+            panic!("expected only responses on A, got {frame:?}");
+        };
+        let req = &backlog[(response.id - 1000) as usize];
+        assert_eq!(response.report, serial_reference(req), "request {}", response.id);
+        ids.push(response.id);
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, (1000..1050).collect::<Vec<_>>());
+    drain(&handle, server);
+    assert!(a.read_to_eof().is_empty(), "one reply per request, nothing stray");
+}
+
+/// Replies on one connection are written in completion order: a pipelined
+/// mix of long and short campaigns on two workers gets every id exactly
+/// once, each bit-identical to `run_serial`, in whatever order they
+/// finished.
+#[test]
+fn pipelined_replies_come_back_once_each_in_completion_order() {
+    let config = NetServerConfig { server: ServerConfig::with_workers(2), admission: UNTHROTTLED };
+    let (addr, handle, server) = serve(config);
+    let requests: Vec<CampaignRequest> =
+        (0..24).map(|i| request(i, if i % 3 == 0 { 200 } else { 20 }, i)).collect();
+    let mut conn = RawConn::open(addr);
+    for req in &requests {
+        conn.send_whole(&wire::encode_request_frame(req, None));
+    }
+    let mut ids: Vec<u64> = (0..requests.len())
+        .map(|_| match conn.recv() {
+            ServerFrame::Response(response) => {
+                let req = &requests[response.id as usize];
+                assert_eq!(response.report, serial_reference(req), "request {}", response.id);
+                response.id
+            }
+            other => panic!("expected a response, got {other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..24).collect::<Vec<_>>(), "every id exactly once");
+    drain(&handle, server);
+    assert!(conn.read_to_eof().is_empty(), "one reply per request, nothing stray");
+}
+
+/// A client that pipelines requests and never reads fills its socket
+/// buffers, so a write to it stalls. Its replies go to a flusher thread,
+/// not a worker, so a second connection's strict request/reply is answered
+/// promptly and bit-identical to `run_serial`. [`WRITE_STALL`] after it
+/// fell behind the silent client is disconnected, and the graceful drain
+/// returns.
+#[test]
+fn a_client_that_never_reads_is_cut_off_without_stalling_the_others() {
+    let config = NetServerConfig { server: ServerConfig::with_workers(2), admission: UNTHROTTLED };
+    let (addr, handle, server) = serve(config);
+
+    // Pipeline until the server stops taking bytes: its reader is then
+    // parked behind a write to this client that cannot progress.
+    let silent = TcpStream::connect(addr).expect("connect");
+    silent.set_write_timeout(Some(Duration::from_millis(200))).expect("write timeout");
+    let line = format!("{}\n", wire::encode_request_frame(&request(1, 20, 1), None));
+    let mut lines = 0u64;
+    while (&silent).write_all(line.as_bytes()).is_ok() {
+        lines += 1;
+        assert!(lines < 1_000_000, "the server never stopped reading a client that never reads");
+    }
+
+    let mut b = RawConn::open(addr);
+    for i in 0..3 {
+        let req = request(500 + i, 20, 60 + i);
+        let sent = Instant::now();
+        b.send_whole(&wire::encode_request_frame(&req, None));
+        match b.recv() {
+            ServerFrame::Response(response) => {
+                assert_eq!((response.id, &response.report), (req.id, &serial_reference(&req)));
+            }
+            other => panic!("expected B's response, got {other:?}"),
+        }
+        let waited = sent.elapsed();
+        assert!(waited < WRITE_STALL / 2, "B waited {waited:?} behind the silent client");
+    }
+
+    // The flusher gives up after WRITE_STALL; the silent client's
+    // connection is shut down and its reader exits.
+    await_stat(&mut b, "connections_active", WRITE_STALL + LIVENESS, |active| active == 1);
+    drain(&handle, server);
+    drop(silent);
+}
+
+/// A client that keeps pipelining but reads only a few KB a second never
+/// catches up on its replies, yet every send to it makes some progress.
+/// Its backlog is written by a flusher thread, so on a one-worker server
+/// a second connection's round trips stay prompt throughout, and the slow
+/// client is cut off once it has been behind for [`WRITE_STALL`].
+#[test]
+fn a_client_that_reads_too_slowly_is_cut_off_without_holding_the_worker() {
+    let config = NetServerConfig { server: ServerConfig::with_workers(1), admission: UNTHROTTLED };
+    let (addr, handle, server) = serve(config);
+    let started = Instant::now();
+    let slow = TcpStream::connect(addr).expect("connect");
+    slow.set_write_timeout(Some(Duration::from_millis(50))).expect("write timeout");
+    slow.set_read_timeout(Some(Duration::from_millis(50))).expect("read timeout");
+    let stop = Arc::new(AtomicBool::new(false));
+    let pipeliner = {
+        let (slow, stop) = (slow.try_clone().expect("clone"), Arc::clone(&stop));
+        let line = format!("{}\n", wire::encode_request_frame(&request(1, 20, 1), None));
+        std::thread::spawn(move || {
+            let mut at = 0;
+            while !stop.load(Ordering::SeqCst) {
+                match (&slow).write(&line.as_bytes()[at..]) {
+                    Ok(n) => at = (at + n) % line.len(),
+                    Err(e) if timed_out(&e) => {}
+                    Err(_) => return,
+                }
+            }
+        })
+    };
+    let trickle = {
+        let (slow, stop) = (slow.try_clone().expect("clone"), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 2048];
+            while !stop.load(Ordering::SeqCst) {
+                match (&slow).read(&mut buf) {
+                    Ok(0) => return,
+                    Ok(_) => std::thread::sleep(Duration::from_millis(250)),
+                    Err(e) if timed_out(&e) => {}
+                    Err(_) => return,
+                }
+            }
+        })
+    };
+
+    let mut b = RawConn::open(addr);
+    let mut round_trips = 0;
+    while stat(&mut b, "connections_active") > 1 {
+        assert!(
+            started.elapsed() < WRITE_STALL + LIVENESS,
+            "the slow client was not cut off within {:?}",
+            WRITE_STALL + LIVENESS
+        );
+        let req = request(500 + round_trips, 20, 60 + round_trips);
+        let sent = Instant::now();
+        b.send_whole(&wire::encode_request_frame(&req, None));
+        match b.recv() {
+            ServerFrame::Response(response) => {
+                assert_eq!((response.id, &response.report), (req.id, &serial_reference(&req)));
+            }
+            other => panic!("expected B's response, got {other:?}"),
+        }
+        let waited = sent.elapsed();
+        assert!(waited < WRITE_STALL / 2, "B waited {waited:?} behind the slow client");
+        round_trips += 1;
+    }
+    assert!(round_trips > 0, "the slow client was cut off before B's first round trip");
+    stop.store(true, Ordering::SeqCst);
+    pipeliner.join().expect("pipeliner must not panic");
+    trickle.join().expect("trickle reader must not panic");
+    drain(&handle, server);
 }

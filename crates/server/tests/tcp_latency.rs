@@ -4,10 +4,10 @@
 //!   as two segments on a Nagle socket stalled ~44 ms per side for the
 //!   peer's delayed ACK, so a stats or campaign round trip read ~88 ms.
 //!   Medians must stay far below that.
-//! * The dispatcher sleeps on a doorbell, so every event it must act on
-//!   (a staged request, a hang-up, the drain) has to wake it. Each test
-//!   below hangs — and fails on a timeout instead — if one of those rings
-//!   is lost.
+//! * Workers and readers park while idle, so every event they must act
+//!   on (a queued request, a hang-up, the drain) has to wake them. Each
+//!   test below fails on a timeout instead of hanging if one of those
+//!   wake-ups is lost.
 //! * The server never depends on one segment per frame: a frame split
 //!   into single-byte writes, or glued to half of the next, still gets
 //!   exactly one reply.
@@ -154,9 +154,10 @@ fn round_trips_cost_the_work_not_a_delayed_ack() {
     drain(&handle, &done);
 }
 
-/// Drain wake-up: three registered, idle connections and nothing staged
-/// leave the dispatcher parked on its doorbell; the shutdown's ring must
-/// reach it, or `run` never returns.
+/// Drain wake-up: three idle connections and nothing queued leave the
+/// workers parked on the empty fair queue and the readers on their
+/// sockets; the drain must close the queue and the sockets, or `run`
+/// never returns.
 #[test]
 fn idle_server_drains_promptly() {
     let (addr, handle, done) = serve();
@@ -171,8 +172,9 @@ fn idle_server_drains_promptly() {
     }
 }
 
-/// Stage wake-up: after 300 ms without traffic the dispatcher is parked;
-/// a request on a fresh connection must still be dispatched and answered.
+/// Push wake-up: after 300 ms without traffic the worker is parked on
+/// the empty queue; a request on a fresh connection must still wake it
+/// and be answered.
 #[test]
 fn request_after_an_idle_spell_is_answered() {
     let (addr, handle, done) = serve();
@@ -189,15 +191,14 @@ fn request_after_an_idle_spell_is_answered() {
     }
     let response = match reply_rx.recv_timeout(LIVENESS) {
         Ok(reply) => reply.expect("response"),
-        Err(e) => panic!("no reply within {LIVENESS:?}; the stage ring was lost: {e}"),
+        Err(e) => panic!("no reply within {LIVENESS:?}; the push wake-up was lost: {e}"),
     };
     assert_eq!((response.id, &response.report), (7, &serial_reference(&req)));
     drain(&handle, &done);
 }
 
-/// EOF wake-up: a connection that hangs up with nothing staged rings the
-/// dispatcher so its slot is retired; a graceful drain afterwards still
-/// exits cleanly.
+/// EOF: a connection that hangs up with nothing queued retires its
+/// reader at once; a graceful drain afterwards still exits cleanly.
 #[test]
 fn hang_up_then_drain_exits_cleanly() {
     let (addr, handle, done) = serve();
