@@ -15,6 +15,8 @@
 //!   share lane 0), bounded in total by [`ServerConfig::queue_capacity`]
 //!   (`0`, the default, is unbounded) — whose lanes idle workers serve
 //!   round robin, so coarse campaigns shard evenly without a scheduler.
+//!   A connection's reader may run a request in a parked worker's turn
+//!   (see *Execution*); at most `workers` campaigns run at once.
 //! * **Backpressure & drain** — with a bounded queue, the non-blocking
 //!   submission paths ([`CampaignServer::try_submit`]) refuse
 //!   over-capacity work with [`SubmitError::Overloaded`] instead of
@@ -32,8 +34,11 @@
 //!   exactly as `BatchRunner::run_many` claims it, each worker through a
 //!   [`spottune_core::GroupSession`] per group (pool, spine and predictors
 //!   resolved once, SoA lanes, one lane-kernel pass per cohort). That is the
-//!   only sweep path. A lone [`CampaignServer::try_submit`] request runs the
-//!   scalar engine directly — the same code as the `run_serial` reference.
+//!   only sweep path. A lone request runs the scalar engine directly — the
+//!   same code as the `run_serial` reference — in one function, which a
+//!   worker calls for a queued request and a connection's reader for one
+//!   it runs in a parked worker's lent turn, saving the hand-off's wake-up
+//!   ([`ServerStats::reader_runs`]); [`CampaignServer::try_submit`] queues.
 //! * **Streaming** — every submission carries its own reply path (a
 //!   channel; on the wire, the connection, written by the worker itself);
 //!   [`CampaignResponse`]s stream back in *completion* order, tagged with
@@ -100,8 +105,10 @@ use queue::{FairQueue, PushError};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerConfig {
     /// Worker-pool size; `0` (the default) means one worker per available
-    /// core. Campaigns are single-threaded and CPU-bound, so more workers
-    /// than cores only adds contention on the shared tiers.
+    /// core. It is also the most campaigns that run at once: a connection
+    /// reader that runs a request does so in a parked worker's turn.
+    /// Campaigns are single-threaded and CPU-bound, so more workers than
+    /// cores only adds contention on the shared tiers.
     pub workers: usize,
     /// Capacity bound of the curve tier; `0` (the default) is unbounded.
     /// Many-seed sweeps touch a distinct curve set per master seed, so a
@@ -163,6 +170,9 @@ pub struct ServerStats {
     pub workers: usize,
     /// Requests accepted so far.
     pub submitted: u64,
+    /// Lone requests run on their connection's reader thread in a parked
+    /// worker's turn instead of through the queue (counted as they start).
+    pub reader_runs: u64,
     /// Responses delivered (or dropped by a departed client) so far.
     pub completed: u64,
     /// Hit/miss counters of the scenario-keyed market-pool tier.
@@ -248,6 +258,7 @@ impl ServerStats {
         let ServerStats {
             workers,
             submitted,
+            reader_runs,
             completed,
             pool_cache,
             curve_cache,
@@ -278,6 +289,7 @@ impl ServerStats {
         vec![
             ("workers", workers as u64),
             ("submitted", submitted),
+            ("reader_runs", reader_runs),
             ("completed", completed),
             ("queue_capacity", queue_capacity),
             ("queue_depth", queue_depth),
@@ -389,6 +401,8 @@ enum WorkPayload {
     /// run by [`CampaignRequest::run_with_tiers`] — the function
     /// [`CampaignRequest::run_serial`] is, over this server's predictor
     /// tier — so the suites' reference is exercised by production traffic.
+    /// A connection's reader that runs a request in a lent turn skips the
+    /// item and calls the same `serve_single` a worker calls for it.
     ///
     /// Not a cohort of one, on measurement: a resident
     /// [`GroupSession`](spottune_core::GroupSession) per warmed scenario
@@ -428,6 +442,7 @@ struct DegradationCounters {
 /// and [`CampaignServer::stats`].
 #[derive(Debug, Default)]
 struct QueueCounters {
+    reader_runs: AtomicU64,
     rejected: AtomicU64,
     overloaded: AtomicU64,
     expired: AtomicU64,
@@ -450,18 +465,11 @@ pub struct CampaignServer {
     /// Behind a mutex so the TCP front-end can join the pool from `&self`;
     /// empty once joined.
     workers: Mutex<Vec<JoinHandle<()>>>,
-    pools: PoolCache,
-    curves: CurveCache,
-    predictors: PredictorCache,
     spines: SpineCache,
-    /// Shared-tier batched executor the workers claim sweep plans
-    /// through; its counters feed the `batched_groups`, `spine_queries`
-    /// and lane stats.
-    runner: BatchRunner,
     submitted: AtomicU64,
-    completed: Arc<AtomicU64>,
-    degradation: Arc<DegradationCounters>,
-    queue: Arc<QueueCounters>,
+    /// The workers' tiers and counters, for the stats and for a reader
+    /// that runs a request in a lent turn.
+    shared: WorkerShared,
 }
 
 impl CampaignServer {
@@ -497,17 +505,14 @@ impl CampaignServer {
             curves.clone(),
             predictors.clone(),
         );
-        let completed = Arc::new(AtomicU64::new(0));
-        let degradation = Arc::new(DegradationCounters::default());
-        let queue = Arc::new(QueueCounters::default());
         let shared = WorkerShared {
-            runner: runner.clone(),
-            pools: pools.clone(),
-            curves: curves.clone(),
-            predictors: predictors.clone(),
-            completed: Arc::clone(&completed),
-            degradation: Arc::clone(&degradation),
-            queue: Arc::clone(&queue),
+            runner,
+            pools,
+            curves,
+            predictors,
+            completed: Arc::default(),
+            degradation: Arc::default(),
+            queue: Arc::default(),
         };
         let handles = (0..workers)
             .map(|i| {
@@ -523,15 +528,9 @@ impl CampaignServer {
             requests,
             queue_capacity: config.queue_capacity,
             workers: Mutex::new(handles),
-            pools,
-            curves,
-            predictors,
             spines,
-            runner,
             submitted: AtomicU64::new(0),
-            completed,
-            degradation,
-            queue,
+            shared,
         }
     }
 
@@ -578,20 +577,23 @@ impl CampaignServer {
     /// On success the receiver yields exactly one [`WorkOutcome`]:
     /// [`WorkOutcome::Done`] with the response, or
     /// [`WorkOutcome::Expired`] if `deadline` passed before a worker
-    /// picked the request up (the campaign is cancelled, never run).
+    /// picked the request up (the campaign is cancelled, never run). The
+    /// campaign always runs on a worker, never on the caller's thread.
     pub fn try_submit(
         &self,
         request: CampaignRequest,
         deadline: Option<Instant>,
     ) -> Result<Receiver<WorkOutcome>, SubmitError> {
         let (reply_tx, reply_rx) = channel::unbounded();
-        self.try_submit_to(0, usize::MAX, request, deadline, Box::new(reply_tx))?;
+        self.try_submit_to(0, usize::MAX, request, deadline, Box::new(reply_tx), false)?;
         Ok(reply_rx)
     }
 
     /// [`CampaignServer::try_submit`] into `lane` of the fair queue, which
     /// may hold at most `lane_cap` requests, with the verdict going to
-    /// `reply`. A refused request drops `reply` unused.
+    /// `reply`. A refused request drops `reply` unused. With `run_here`,
+    /// an empty queue with a parked worker lends that worker's turn and
+    /// the request runs on the calling thread before this returns.
     pub(crate) fn try_submit_to(
         &self,
         lane: u64,
@@ -599,10 +601,18 @@ impl CampaignServer {
         request: CampaignRequest,
         deadline: Option<Instant>,
         reply: Box<dyn ReplySink>,
+        run_here: bool,
     ) -> Result<(), SubmitError> {
+        let queue = &self.shared.queue;
         if let Err(reason) = request.validate() {
-            self.queue.rejected.fetch_add(1, Ordering::Relaxed);
+            queue.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Rejected(reason));
+        }
+        if let Some(_turn) = run_here.then(|| self.requests.lend()).flatten() {
+            self.submitted.fetch_add(1, Ordering::Relaxed);
+            queue.reader_runs.fetch_add(1, Ordering::Relaxed);
+            serve_single(request, deadline, reply, &self.shared);
+            return Ok(());
         }
         let item = WorkPayload::Single { request, deadline, reply };
         let refusal = match self.requests.push(lane, lane_cap, item, false) {
@@ -616,7 +626,7 @@ impl CampaignServer {
             }
             Err(PushError::LaneFull) => SubmitError::Overloaded { capacity: lane_cap, lane: true },
         };
-        self.queue.overloaded.fetch_add(1, Ordering::Relaxed);
+        queue.overloaded.fetch_add(1, Ordering::Relaxed);
         Err(refusal)
     }
 
@@ -633,7 +643,7 @@ impl CampaignServer {
     ) -> Result<Receiver<CampaignResponse>, String> {
         for request in &requests {
             if let Err(reason) = request.validate() {
-                self.queue.rejected.fetch_add(1, Ordering::Relaxed);
+                self.shared.queue.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(format!("request {}: {reason}", request.id));
             }
         }
@@ -671,19 +681,22 @@ impl CampaignServer {
         // One snapshot (the runner shares this server's tiers): each
         // `BatchRunner::stats` locks the spine map and walks every resident
         // spine, and the lane counters should come from one instant.
-        let batch = self.runner.stats();
+        let WorkerShared { runner, pools, curves, predictors, completed, degradation, queue } =
+            &self.shared;
+        let batch = runner.stats();
         let (queue_depth, peak_queue_depth) = self.requests.depths();
         ServerStats {
             workers: lock_clean(&self.workers).len(),
             submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            reader_runs: queue.reader_runs.load(Ordering::Relaxed),
+            completed: completed.load(Ordering::Relaxed),
             pool_cache: batch.pool_cache,
-            curve_cache: self.curves.stats(),
+            curve_cache: curves.stats(),
             predictor_cache: batch.predictor_cache,
             spine_cache: batch.spine_cache,
-            resident_pools: self.pools.len(),
-            resident_curves: self.curves.len(),
-            resident_predictors: self.predictors.len(),
+            resident_pools: pools.len(),
+            resident_curves: curves.len(),
+            resident_predictors: predictors.len(),
             resident_spines: self.spines.len(),
             spine_queries: batch.spine_queries,
             batched_groups: batch.groups,
@@ -692,22 +705,22 @@ impl CampaignServer {
             lane_jobs: batch.lane_jobs,
             probe_hits: batch.probe_hits,
             probe_misses: batch.probe_misses,
-            revocations: self.degradation.revocations.load(Ordering::Relaxed),
-            lost_steps: self.degradation.lost_steps.load(Ordering::Relaxed),
-            migrations: self.degradation.migrations.load(Ordering::Relaxed),
+            revocations: degradation.revocations.load(Ordering::Relaxed),
+            lost_steps: degradation.lost_steps.load(Ordering::Relaxed),
+            migrations: degradation.migrations.load(Ordering::Relaxed),
             queue_capacity: self.queue_capacity as u64,
             queue_depth: queue_depth as u64,
             peak_queue_depth: peak_queue_depth as u64,
-            rejected: self.queue.rejected.load(Ordering::Relaxed),
-            overloaded: self.queue.overloaded.load(Ordering::Relaxed),
-            expired: self.queue.expired.load(Ordering::Relaxed),
-            drained: self.queue.drained.load(Ordering::Relaxed),
+            rejected: queue.rejected.load(Ordering::Relaxed),
+            overloaded: queue.overloaded.load(Ordering::Relaxed),
+            expired: queue.expired.load(Ordering::Relaxed),
+            drained: queue.drained.load(Ordering::Relaxed),
         }
     }
 
     /// Whether [`CampaignServer::begin_drain`] has closed the intake.
     pub fn is_draining(&self) -> bool {
-        self.queue.draining.load(Ordering::SeqCst)
+        self.shared.queue.draining.load(Ordering::SeqCst)
     }
 
     /// Starts a graceful drain from a shared reference: closes the
@@ -717,7 +730,7 @@ impl CampaignServer {
     /// queue is empty; [`CampaignServer::shutdown`] (or `Drop`) then
     /// joins them. Idempotent.
     pub fn begin_drain(&self) {
-        self.queue.draining.store(true, Ordering::SeqCst);
+        self.shared.queue.draining.store(true, Ordering::SeqCst);
         self.requests.close();
     }
 
@@ -764,25 +777,7 @@ fn worker_loop(requests: &FairQueue<WorkPayload>, shared: &WorkerShared) {
     while let Some(item) = requests.pop() {
         match item {
             WorkPayload::Single { request, deadline, reply } => {
-                let id = request.id;
-                if deadline.is_some_and(|deadline| Instant::now() > deadline) {
-                    shared.queue.expired.fetch_add(1, Ordering::Relaxed);
-                    reply.answer(WorkOutcome::Expired { id });
-                    continue;
-                }
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let pool = shared.pools.get(request.scenario);
-                    request.run_with_tiers(&pool, &shared.curves, &shared.predictors)
-                }));
-                match outcome {
-                    Ok(report) => {
-                        reply.answer(WorkOutcome::Done(Box::new(shared.settle(id, report))))
-                    }
-                    Err(_) => {
-                        drop_panicked(id);
-                        reply.abort();
-                    }
-                }
+                serve_single(request, deadline, reply, shared);
             }
             WorkPayload::Sweep(sweep) => {
                 let Sweep { requests, plan, reply } = &*sweep;
@@ -818,6 +813,33 @@ fn worker_loop(requests: &FairQueue<WorkPayload>, shared: &WorkerShared) {
                     }
                 });
             }
+        }
+    }
+}
+
+/// Runs one lone request — or cancels it if its `deadline` has passed —
+/// and delivers the verdict to `reply`: the one body behind a worker's
+/// [`WorkPayload::Single`] and a reader's lent turn.
+fn serve_single(
+    request: CampaignRequest,
+    deadline: Option<Instant>,
+    reply: Box<dyn ReplySink>,
+    shared: &WorkerShared,
+) {
+    let id = request.id;
+    if deadline.is_some_and(|deadline| Instant::now() > deadline) {
+        shared.queue.expired.fetch_add(1, Ordering::Relaxed);
+        return reply.answer(WorkOutcome::Expired { id });
+    }
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let pool = shared.pools.get(request.scenario);
+        request.run_with_tiers(&pool, &shared.curves, &shared.predictors)
+    }));
+    match outcome {
+        Ok(report) => reply.answer(WorkOutcome::Done(Box::new(shared.settle(id, report)))),
+        Err(_) => {
+            drop_panicked(id);
+            reply.abort();
         }
     }
 }
@@ -1146,7 +1168,7 @@ mod tests {
         let refusal = (0..500).find_map(|i| {
             let (tx, rx) = channel::unbounded();
             receivers.push(rx);
-            server.try_submit_to(7, 1, request(i), None, Box::new(tx)).err()
+            server.try_submit_to(7, 1, request(i), None, Box::new(tx), false).err()
         });
         let refusal = refusal.expect("a one-request lane never filled");
         assert_eq!(refusal, SubmitError::Overloaded { capacity: 1, lane: true });

@@ -29,6 +29,11 @@
 //!   into the connection's lane of the core's fair queue; the workers
 //!   serve the lanes round robin, so one chatty client cannot starve the
 //!   rest, and each writes its request's reply on the connection itself.
+//!   A frame with nothing read behind it (its client waits on the reply)
+//!   meeting an empty queue and a parked worker runs on the reader instead,
+//!   in that worker's lent turn: one wake-up fewer, and still at most
+//!   `workers` campaigns at once. Frames that arrive meanwhile are read,
+//!   and their deadlines started, when that campaign ends.
 //! * **Backpressure** — a lane holds at most
 //!   [`AdmissionConfig::staging_capacity`] requests and the whole queue at
 //!   most [`ServerConfig::queue_capacity`](crate::ServerConfig); a request
@@ -43,8 +48,10 @@
 //!   than 4 MiB of replies waiting, is cut off.
 //! * **Graceful drain** — on shutdown the listener closes, new requests
 //!   get `draining` frames, the core queue closes, queued campaigns finish
-//!   and their workers write every pending response, and only then do the
-//!   sockets close and [`NetServer::run`] return.
+//!   and their workers write every pending response; then every socket's
+//!   read side shuts, a reader running a campaign finishes it and writes
+//!   the reply, and only once the readers are joined do the sockets close
+//!   and [`NetServer::run`] return.
 //!
 //! Connection handling never panics: malformed frames, truncated lines,
 //! mid-sweep disconnects and write failures are all confined to the
@@ -339,7 +346,8 @@ struct Inner {
     addr: SocketAddr,
     draining: AtomicBool,
     counters: NetCounters,
-    /// Every connection and its reader, for the drain to close and join.
+    /// Every connection and its reader, for the drain to close and join;
+    /// finished ones are closed at the next accept.
     connections: Mutex<Vec<(Arc<SharedWriter>, JoinHandle<()>)>>,
 }
 
@@ -447,15 +455,20 @@ impl NetServer {
         }
         drop(listener);
         // 1. Close the core queue (a racing push gets `draining`), join the
-        //    workers: every queued request has run and its reply is written
-        //    or handed to a write in progress.
+        //    workers: every queued request has run — after the give-back of
+        //    any turn a reader holds — and its reply is written or handed to
+        //    a write in progress.
         inner.core.finish();
-        // 2. Close the sockets once their last write ends; that unblocks
-        //    the readers, joined last.
         let connections = std::mem::take(&mut *lock_clean(&inner.connections));
+        // 2. End every reader's input: a reader running a campaign finishes
+        //    it, writes the reply, then reads EOF. 3. Join the readers.
+        for (writer, _) in &connections {
+            let _ = writer.stream.shutdown(Shutdown::Read);
+        }
         for (writer, reader) in connections {
-            writer.close();
             let _ = reader.join();
+            // 4. Close the socket once its last write ends.
+            writer.close();
         }
         Ok(())
     }
@@ -469,14 +482,19 @@ fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let lane = inner.counters.connections.fetch_add(1, Ordering::Relaxed) + 1;
     inner.counters.connections_active.fetch_add(1, Ordering::Relaxed);
     let writer = SharedWriter::new(stream);
+    let mut connections = lock_clean(&inner.connections);
+    // Close finished connections: a writer only this list holds has no
+    // reader, no queued reply and no flusher left to use it.
+    connections.retain(|(writer, _)| Arc::strong_count(writer) > 1);
     let reader = {
         let (inner, writer) = (Arc::clone(inner), Arc::clone(&writer));
         std::thread::spawn(move || {
             reader_loop(&inner, lane, &writer);
+            drop(writer);
             inner.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
         })
     };
-    lock_clean(&inner.connections).push((writer, reader));
+    connections.push((writer, reader));
 }
 
 /// Reads frames off one connection until EOF, answering admin frames
@@ -507,7 +525,9 @@ fn reader_loop(inner: &Inner, lane: u64, writer: &Arc<SharedWriter>) {
             continue;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
-            return;
+            inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            writer.send_error(None, ErrorKind::Malformed, "frame is not UTF-8");
+            continue;
         };
         let text = text.trim();
         if text.is_empty() {
@@ -540,7 +560,11 @@ fn reader_loop(inner: &Inner, lane: u64, writer: &Arc<SharedWriter>) {
                     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
                     let reply = Box::new(PendingReply { id, writer: Arc::clone(writer) });
                     let cap = inner.admission.staging_capacity;
-                    let Err(refusal) = inner.core.try_submit_to(lane, cap, request, deadline, reply)
+                    // Nothing read past this frame: the client waits on its
+                    // reply, so this thread may run it in a parked worker's turn.
+                    let run_here = reader.buffer().is_empty();
+                    let Err(refusal) =
+                        inner.core.try_submit_to(lane, cap, request, deadline, reply, run_here)
                     else {
                         continue;
                     };
@@ -609,6 +633,37 @@ mod tests {
         assert!(get("kernel_invocations") > Some(0), "{fields:?}");
         assert!(get("lane_jobs") <= get("lane_slots") && get("lane_jobs") > Some(0), "{fields:?}");
         assert_eq!(get("connections_active"), Some(1));
+
+        handle.shutdown();
+        server.join().expect("server thread must not panic").expect("clean run");
+    }
+
+    /// Each accept closes the connections that are done: after fifty
+    /// clients connected and hung up, the list holds only the live one.
+    #[test]
+    fn finished_connections_are_closed_at_the_next_accept() {
+        let config =
+            NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
+        let net = NetServer::bind("127.0.0.1:0", config).expect("bind ephemeral");
+        let (addr, handle, inner) = (net.local_addr(), net.handle(), Arc::clone(&net.inner));
+        let server = std::thread::spawn(move || net.run());
+        let stats_round_trip = |stream: &TcpStream| {
+            let mut out = stream;
+            out.write_all(format!("{}\n", wire::encode_stats_request()).as_bytes()).expect("send");
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).expect("stats frame");
+        };
+        for _ in 0..50 {
+            stats_round_trip(&TcpStream::connect(addr).expect("connect"));
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while inner.counters.connections_active.load(Ordering::SeqCst) > 0 {
+            assert!(Instant::now() < deadline, "hung-up readers never finished");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let live = TcpStream::connect(addr).expect("connect");
+        stats_round_trip(&live);
+        assert_eq!(lock_clean(&inner.connections).len(), 1, "only the live connection is kept");
 
         handle.shutdown();
         server.join().expect("server thread must not panic").expect("clean run");

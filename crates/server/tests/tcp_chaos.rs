@@ -153,6 +153,23 @@ fn await_stat(conn: &mut RawConn, name: &str, patience: Duration, ok: impl Fn(u6
     }
 }
 
+/// Strict round trips on `conn` until one runs on its reader, which shows
+/// a worker parked; returns `reader_runs` then.
+fn await_parked_worker(conn: &mut RawConn) -> u64 {
+    let deadline = Instant::now() + LIVENESS;
+    let mut id = 9000;
+    loop {
+        conn.send_whole(&wire::encode_request_frame(&request(id, 20, id), None));
+        assert!(matches!(conn.recv(), ServerFrame::Response(r) if r.id == id), "request {id}");
+        let runs = stat(conn, "reader_runs");
+        if runs > 0 {
+            return runs;
+        }
+        assert!(Instant::now() < deadline, "no request ran on its reader within {LIVENESS:?}");
+        id += 1;
+    }
+}
+
 /// A socket timeout, as opposed to a closed connection.
 fn timed_out(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
@@ -198,9 +215,11 @@ fn five_error_kinds_and_a_flushed_response_on_one_connection() {
     conn.send(&wire::encode_request_frame(&invalid, None));
     // 3. A heavy campaign occupies the single worker...
     let heavy = request(1, 300, 7);
-    conn.send(&wire::encode_request_frame(&heavy, None));
-    // 4. ...so this one expires in the queue: `deadline-exceeded`.
-    conn.send(&wire::encode_request_frame(&request(2, 20, 8), Some(1)));
+    // 4. ...so this one expires in the queue: `deadline-exceeded`. Both
+    //    in one write: the reader sees the second frame behind the first,
+    //    so neither runs on the reader and the heavy one holds the worker.
+    let doomed = wire::encode_request_frame(&request(2, 20, 8), Some(1));
+    conn.send(&format!("{}\n{doomed}", wire::encode_request_frame(&heavy, None)));
     // 5. The queue (capacity 1) now holds the doomed request: `overloaded`.
     for id in 10..16 {
         conn.send(&wire::encode_request_frame(&request(id, 20, id), None));
@@ -360,6 +379,33 @@ fn oversize_line_gets_one_malformed_frame_and_the_connection_keeps_serving() {
     handle.shutdown();
     assert!(conn.read_to_eof().is_empty(), "one reply per line, nothing stray");
     server.join().expect("server thread must not panic").expect("clean run");
+}
+
+/// A line that is not UTF-8 gets one anonymous `malformed` frame, like
+/// any undecodable line, and the connection keeps serving: a campaign
+/// sent after it on the same connection comes back equal to `run_serial`.
+#[test]
+fn a_line_that_is_not_utf8_gets_one_malformed_frame_and_the_connection_keeps_serving() {
+    let config =
+        NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
+    let (addr, handle, server) = serve(config);
+    let mut conn = RawConn::open(addr);
+    conn.writer.write_all(b"\xff\xfe{}\n").expect("send bytes");
+    match conn.recv() {
+        ServerFrame::Error(e) => assert_eq!((e.kind, e.id), (ErrorKind::Malformed, None)),
+        other => panic!("expected a malformed frame, got {other:?}"),
+    }
+    let req = request(1, 20, 3);
+    conn.send(&wire::encode_request_frame(&req, None));
+    match conn.recv() {
+        ServerFrame::Response(response) => {
+            assert_eq!((response.id, &response.report), (1, &serial_reference(&req)));
+        }
+        other => panic!("expected the campaign's response, got {other:?}"),
+    }
+    assert_eq!(stat(&mut conn, "malformed_frames"), 1);
+    drain(&handle, server);
+    assert!(conn.read_to_eof().is_empty(), "one reply per line, nothing stray");
 }
 
 /// Chaos sweep: three well-behaved clients run campaigns while one
@@ -745,4 +791,102 @@ fn a_client_that_reads_too_slowly_is_cut_off_without_holding_the_worker() {
     pipeliner.join().expect("pipeliner must not panic");
     trickle.join().expect("trickle reader must not panic");
     drain(&handle, server);
+}
+
+/// A client that waits on each reply has its requests run by its
+/// connection's reader in a parked worker's turn: on an idle two-worker
+/// server every strict campaign after the warm-up counts in `reader_runs`,
+/// and every reply equals `run_serial`.
+#[test]
+fn a_strict_client_is_served_by_its_reader() {
+    use spottune_client::{Client, RetryPolicy};
+
+    let config = NetServerConfig { server: ServerConfig::with_workers(2), admission: UNTHROTTLED };
+    let (addr, handle, server) = serve(config);
+    let mut client =
+        Client::connect(&addr.to_string()).expect("connect").with_retry(RetryPolicy::none());
+    let counters = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        let get = |name: &str| stats.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v);
+        (get("reader_runs"), get("completed"))
+    };
+    // Warm-up: the workers may still be on their way to park.
+    let warm = request(0, 20, 0);
+    assert_eq!(client.run_campaign(&warm, None).expect("warm-up").report, serial_reference(&warm));
+    let (runs, completed) = counters(&mut client);
+    for id in 1..=20 {
+        let req = request(id, 20, id);
+        let response = client.run_campaign(&req, None).expect("response");
+        assert_eq!((response.id, &response.report), (id, &serial_reference(&req)));
+    }
+    assert_eq!(
+        counters(&mut client),
+        (runs + 20, completed + 20),
+        "every strict request ran on its reader"
+    );
+    drop(client);
+    drain(&handle, server);
+}
+
+/// A pipelined burst sent in one write leaves frames behind each one the
+/// reader takes, so every request goes through the fair queue to the
+/// workers: `reader_runs` does not move and the queue fills.
+#[test]
+fn a_pipelined_burst_goes_through_the_queue() {
+    let config = NetServerConfig { server: ServerConfig::with_workers(2), admission: UNTHROTTLED };
+    let (addr, handle, server) = serve(config);
+    let mut conn = RawConn::open(addr);
+    let before = stat(&mut conn, "reader_runs");
+    let burst: Vec<CampaignRequest> = (0..8).map(|i| request(i, 300, i)).collect();
+    let frames: Vec<String> =
+        burst.iter().map(|req| wire::encode_request_frame(req, None)).collect();
+    conn.send_whole(&frames.join("\n"));
+    let mut ids: Vec<u64> = (0..burst.len())
+        .map(|_| match conn.recv() {
+            ServerFrame::Response(response) => {
+                let req = &burst[response.id as usize];
+                assert_eq!(response.report, serial_reference(req), "request {}", response.id);
+                response.id
+            }
+            other => panic!("expected a response, got {other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..8).collect::<Vec<_>>(), "every id exactly once");
+    assert_eq!(stat(&mut conn, "reader_runs"), before, "a pipelined frame ran on its reader");
+    assert!(stat(&mut conn, "peak_queue_depth") > 0, "the burst never queued");
+    drain(&handle, server);
+    assert!(conn.read_to_eof().is_empty(), "one reply per request, nothing stray");
+}
+
+/// Drain while a reader runs a campaign: connection A sends a heavy
+/// campaign alone, which its reader runs; once B sees `reader_runs` move,
+/// B asks for shutdown. A still gets its reply, equal to `run_serial`,
+/// then EOF, and `run` returns in time.
+#[test]
+fn a_drain_waits_for_the_campaign_a_reader_is_running() {
+    let config = NetServerConfig { server: ServerConfig::with_workers(2), admission: UNTHROTTLED };
+    let (addr, _handle, server) = serve(config);
+    let mut a = RawConn::open(addr);
+    let mut b = RawConn::open(addr);
+    let before = await_parked_worker(&mut b);
+    let heavy = request(1, 600, 7);
+    a.send_whole(&wire::encode_request_frame(&heavy, None));
+    await_stat(&mut b, "reader_runs", LIVENESS, |runs| runs > before);
+    b.send_whole(&wire::encode_shutdown_request());
+    assert!(matches!(b.recv(), ServerFrame::Stats(_)), "the shutdown ack is a stats frame");
+    let started = Instant::now();
+    match a.recv() {
+        ServerFrame::Response(response) => {
+            assert_eq!((response.id, &response.report), (heavy.id, &serial_reference(&heavy)));
+        }
+        other => panic!("expected A's response, got {other:?}"),
+    }
+    assert!(a.read_to_eof().is_empty(), "one reply per request, then EOF");
+    assert!(b.read_to_eof().is_empty(), "nothing after the shutdown ack");
+    while !server.is_finished() {
+        assert!(started.elapsed() < LIVENESS, "NetServer::run did not return within {LIVENESS:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.join().expect("server thread must not panic").expect("clean run");
 }

@@ -100,8 +100,35 @@ impl RawConn {
     }
 
     fn stats_round_trip(&mut self) {
+        self.stat("workers");
+    }
+
+    /// One counter off a stats frame.
+    fn stat(&mut self, name: &str) -> u64 {
         self.write(format!("{}\n", wire::encode_stats_request()).as_bytes());
-        assert!(matches!(self.recv(), ServerFrame::Stats(_)), "expected a stats frame");
+        match self.recv() {
+            ServerFrame::Stats(fields) => {
+                fields.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v)
+            }
+            other => panic!("expected a stats frame, got {other:?}"),
+        }
+    }
+
+    /// Sends `req` alone and requires its reply, equal to `run_serial`,
+    /// within [`LIVENESS`].
+    fn round_trip(&mut self, req: &CampaignRequest) {
+        self.write(format!("{}\n", wire::encode_request_frame(req, None)).as_bytes());
+        self.expect_response(req);
+    }
+
+    fn expect_response(&mut self, req: &CampaignRequest) {
+        self.writer.set_read_timeout(Some(LIVENESS)).expect("read timeout");
+        match self.recv() {
+            ServerFrame::Response(response) => {
+                assert_eq!((response.id, &response.report), (req.id, &serial_reference(req)));
+            }
+            other => panic!("expected the response to {}, got {other:?}", req.id),
+        }
     }
 
     /// Reads until the server closes the connection.
@@ -172,9 +199,10 @@ fn idle_server_drains_promptly() {
     }
 }
 
-/// Push wake-up: after 300 ms without traffic the worker is parked on
-/// the empty queue; a request on a fresh connection must still wake it
-/// and be answered.
+/// After 300 ms without traffic the worker is parked on the empty queue;
+/// a request on a fresh connection must still be answered. A lone request
+/// runs on its reader in the parked worker's turn; the queue-push wake-up
+/// is the next test's.
 #[test]
 fn request_after_an_idle_spell_is_answered() {
     let (addr, handle, done) = serve();
@@ -191,9 +219,77 @@ fn request_after_an_idle_spell_is_answered() {
     }
     let response = match reply_rx.recv_timeout(LIVENESS) {
         Ok(reply) => reply.expect("response"),
-        Err(e) => panic!("no reply within {LIVENESS:?}; the push wake-up was lost: {e}"),
+        Err(e) => panic!("no reply within {LIVENESS:?}: {e}"),
     };
     assert_eq!((response.id, &response.report), (7, &serial_reference(&req)));
+    drain(&handle, &done);
+}
+
+/// Push wake-up: after an idle spell, two frames in one write. The reader
+/// sees the second behind the first, so both go through the queue, and the
+/// parked worker must wake for them.
+#[test]
+fn pipelined_requests_after_an_idle_spell_wake_the_worker() {
+    let (addr, handle, done) = serve();
+    std::thread::sleep(Duration::from_millis(300));
+    let mut conn = RawConn::open(addr);
+    let (first, second) = (request(1, 21), request(2, 22));
+    let frames = [first.clone(), second.clone()]
+        .map(|req| format!("{}\n", wire::encode_request_frame(&req, None)));
+    conn.write(frames.concat().as_bytes());
+    let mut seen = Vec::new();
+    for _ in 0..2 {
+        conn.writer.set_read_timeout(Some(LIVENESS)).expect("read timeout");
+        match conn.recv() {
+            ServerFrame::Response(response) => {
+                let req = if response.id == 1 { &first } else { &second };
+                assert_eq!(response.report, serial_reference(req), "request {}", response.id);
+                seen.push(response.id);
+            }
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, vec![1, 2]);
+    assert_eq!(conn.stat("reader_runs"), 0, "a pipelined frame ran on its reader");
+    drain(&handle, &done);
+}
+
+/// Give-back wake-up: one worker, whose turn A's reader holds on a heavy
+/// campaign. B's request queues meanwhile; once A's reader is done and
+/// gives the turn back, the worker must wake and answer B — after A.
+#[test]
+fn a_request_queued_behind_a_lent_turn_is_answered_after_it() {
+    let (addr, handle, done) = serve();
+    let mut b = RawConn::open(addr);
+    // Strict round trips until one runs on its reader: the worker is parked.
+    let deadline = Instant::now() + LIVENESS;
+    for id in 100.. {
+        b.round_trip(&request(id, id));
+        if b.stat("reader_runs") > 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no request ever ran on its reader");
+    }
+    let runs = b.stat("reader_runs");
+    let mut a = RawConn::open(addr);
+    let heavy = CampaignRequest {
+        workload: Workload::custom(Algorithm::LoR, 600, request(1, 7).workload.hp_grid().to_vec()),
+        ..request(1, 7)
+    };
+    a.write(format!("{}\n", wire::encode_request_frame(&heavy, None)).as_bytes());
+    while b.stat("reader_runs") == runs {
+        assert!(Instant::now() < deadline + LIVENESS, "A's campaign never ran on its reader");
+    }
+    let queued = request(2, 8);
+    b.round_trip(&queued);
+    // A's reader wrote its reply before giving the turn back.
+    a.writer.set_nonblocking(true).expect("nonblocking");
+    assert!(a.reader.fill_buf().is_ok_and(|buf| !buf.is_empty()), "B was answered before A");
+    a.writer.set_nonblocking(false).expect("blocking");
+    a.expect_response(&heavy);
+    assert_eq!(b.stat("reader_runs"), runs + 1, "B's request ran on its reader");
+    assert!(b.stat("peak_queue_depth") >= 1, "B's request never queued");
     drain(&handle, &done);
 }
 
