@@ -13,8 +13,7 @@
 //!
 //! Run with: `cargo run --release -p spottune-bench --bin ablation_provisioner`
 
-use rayon::prelude::*;
-use spottune_bench::{print_table, standard_pool, MASTER_SEED};
+use spottune_bench::{par_map, print_table, standard_pool, MASTER_SEED};
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
@@ -53,23 +52,20 @@ fn main() {
         .iter()
         .flat_map(|&alg| (0..estimators.len()).map(move |ei| (alg, ei)))
         .collect();
-    let rows: Vec<Vec<String>> = grid
-        .into_par_iter()
-        .map(|(alg, ei)| {
-            let (label, est) = estimators[ei];
-            let w = Workload::benchmark(alg);
-            let cfg = SpotTuneConfig::new(0.7, 3).with_seed(MASTER_SEED);
-            let mut policy = SpotTuneTheta::new(est, cfg.delta_range, cfg.theta);
-            let r = Engine::new(cfg, w.clone(), pool.clone()).run(&mut policy);
-            vec![
-                w.algorithm().name().to_string(),
-                label.to_string(),
-                format!("{:.3}", r.cost),
-                format!("{:.1}", 100.0 * r.free_step_fraction()),
-                format!("{:.2}", r.jct.as_hours_f64()),
-            ]
-        })
-        .collect();
+    let rows: Vec<Vec<String>> = par_map(grid, |(alg, ei)| {
+        let (label, est) = estimators[ei];
+        let w = Workload::benchmark(alg);
+        let cfg = SpotTuneConfig::new(0.7, 3).with_seed(MASTER_SEED);
+        let mut policy = SpotTuneTheta::new(est, cfg.delta_range, cfg.theta);
+        let r = Engine::new(cfg, w.clone(), pool.clone()).run(&mut policy);
+        vec![
+            w.algorithm().name().to_string(),
+            label.to_string(),
+            format!("{:.3}", r.cost),
+            format!("{:.1}", 100.0 * r.free_step_fraction()),
+            format!("{:.2}", r.jct.as_hours_f64()),
+        ]
+    });
     print_table(
         "Ablation: revocation awareness in the provisioner (θ=0.7)",
         &["workload", "estimator", "cost_$", "free_steps_pct", "jct_h"],

@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --release -p spottune-bench --bin fig08_theta_sweep`
 
-use rayon::prelude::*;
-use spottune_bench::{print_table, run_campaigns, standard_scenario, Approach, MASTER_SEED};
+use spottune_bench::{par_map, print_table, run_campaigns, standard_scenario, Approach, MASTER_SEED};
 use spottune_earlycurve::prelude::*;
 use spottune_mlsim::prelude::*;
 
@@ -54,35 +53,32 @@ fn main() {
             (0..workloads.len()).flat_map(move |wi| seeds.into_iter().map(move |s| (ti, wi, s)))
         })
         .collect();
-    let hits: Vec<(usize, bool, bool)> = cells
-        .into_par_iter()
-        .map(|(ti, wi, seed)| {
-            let theta = THETAS[ti];
-            let w = &workloads[wi];
-            let max = w.max_trial_steps();
-            let target = ((theta * max as f64).ceil() as u64).clamp(1, max);
-            let mut preds = Vec::with_capacity(w.hp_grid().len());
-            let mut finals = Vec::with_capacity(w.hp_grid().len());
-            for hp in w.hp_grid() {
-                let run = TrainingRun::new(w, hp, seed);
-                let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
-                for k in 1..=target {
-                    ec.push(k, run.metric_at(k));
-                }
-                let last = run.metric_at(target);
-                preds.push(if theta >= 1.0 {
-                    last
-                } else {
-                    ec.predict_final(max).unwrap_or(last)
-                });
-                finals.push(run.final_metric());
+    let hits: Vec<(usize, bool, bool)> = par_map(cells, |(ti, wi, seed)| {
+        let theta = THETAS[ti];
+        let w = &workloads[wi];
+        let max = w.max_trial_steps();
+        let target = ((theta * max as f64).ceil() as u64).clamp(1, max);
+        let mut preds = Vec::with_capacity(w.hp_grid().len());
+        let mut finals = Vec::with_capacity(w.hp_grid().len());
+        for hp in w.hp_grid() {
+            let run = TrainingRun::new(w, hp, seed);
+            let mut ec = EarlyCurve::new(EarlyCurveConfig::default());
+            for k in 1..=target {
+                ec.push(k, run.metric_at(k));
             }
-            let best = argmin(&finals);
-            let mut rank: Vec<usize> = (0..preds.len()).collect();
-            rank.sort_by(|&a, &b| preds[a].partial_cmp(&preds[b]).expect("finite"));
-            (ti, rank[0] == best, rank[..3].contains(&best))
-        })
-        .collect();
+            let last = run.metric_at(target);
+            preds.push(if theta >= 1.0 {
+                last
+            } else {
+                ec.predict_final(max).unwrap_or(last)
+            });
+            finals.push(run.final_metric());
+        }
+        let best = argmin(&finals);
+        let mut rank: Vec<usize> = (0..preds.len()).collect();
+        rank.sort_by(|&a, &b| preds[a].partial_cmp(&preds[b]).expect("finite"));
+        (ti, rank[0] == best, rank[..3].contains(&best))
+    });
     let mut acc_rows = Vec::new();
     for (ti, &theta) in THETAS.iter().enumerate() {
         let cell: Vec<&(usize, bool, bool)> = hits.iter().filter(|(i, _, _)| *i == ti).collect();

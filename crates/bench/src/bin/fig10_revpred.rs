@@ -5,8 +5,7 @@
 //!
 //! Run with: `cargo run --release -p spottune-bench --bin fig10_revpred`
 
-use parking_lot::Mutex;
-use spottune_bench::{print_table, standard_pool, MASTER_SEED};
+use spottune_bench::{par_map, print_table, standard_pool, MASTER_SEED};
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
@@ -24,20 +23,7 @@ fn main() {
     let kinds = [PredictorKind::RevPred, PredictorKind::Tributary, PredictorKind::Logistic];
 
     // Train the three predictor families in parallel.
-    let sets: Mutex<Vec<(usize, MarketPredictorSet)>> = Mutex::new(Vec::new());
-    crossbeam::thread::scope(|scope| {
-        for (i, kind) in kinds.iter().enumerate() {
-            let pool = pool.clone();
-            let sets = &sets;
-            scope.spawn(move |_| {
-                let set = train_for_pool(*kind, &pool, MASTER_SEED);
-                sets.lock().push((i, set));
-            });
-        }
-    })
-    .expect("training thread panicked");
-    let mut sets = sets.into_inner();
-    sets.sort_by_key(|(i, _)| *i);
+    let sets = par_map(kinds.to_vec(), |kind| train_for_pool(kind, &pool, MASTER_SEED));
 
     // (a)+(b): evaluate on held-out windows. Test max prices use the
     // *random* delta policy — the paper's inference-time behaviour ("while
@@ -45,7 +31,7 @@ fn main() {
     // maximum price as Tributary does") — so no model can game the test by
     // answering the majority class.
     let mut rows = Vec::new();
-    for (i, set) in &sets {
+    for (kind, set) in kinds.iter().zip(&sets) {
         let mut probs = Vec::new();
         let mut labels = Vec::new();
         for market in pool.iter() {
@@ -67,7 +53,7 @@ fn main() {
         }
         let eval = BinaryEval::score(&probs, &labels, 0.5);
         rows.push(vec![
-            format!("{:?}", kinds[*i]),
+            format!("{kind:?}"),
             format!("{:.4}", eval.accuracy()),
             format!("{:.4}", eval.f1()),
             format!("{:.4}", eval.precision()),
@@ -81,33 +67,22 @@ fn main() {
     );
 
     // (c): SpotTune cost/PCR with RevPred vs Tributary on all 6 workloads.
-    let revpred_set = &sets[0].1;
-    let tributary_set = &sets[1].1;
-    let reports: Mutex<Vec<(usize, HptReport)>> = Mutex::new(Vec::new());
-    crossbeam::thread::scope(|scope| {
-        for (wi, w) in Workload::all_benchmarks().into_iter().enumerate() {
-            for (ei, est) in [revpred_set, tributary_set].into_iter().enumerate() {
-                let pool = pool.clone();
-                let w = w.clone();
-                let reports = &reports;
-                scope.spawn(move |_| {
-                    let cfg = SpotTuneConfig::new(0.7, 3).with_seed(MASTER_SEED);
-                    let mut policy = SpotTuneTheta::new(est, cfg.delta_range, cfg.theta);
-                    let report = Engine::new(cfg, w, pool).run(&mut policy);
-                    reports.lock().push((wi * 2 + ei, report));
-                });
-            }
-        }
-    })
-    .expect("campaign thread panicked");
-    let mut reports = reports.into_inner();
-    reports.sort_by_key(|(i, _)| *i);
+    // Campaign `wi * 2` runs RevPred on workload `wi`, `wi * 2 + 1` Tributary.
+    let campaigns: Vec<(Workload, &MarketPredictorSet)> = Workload::all_benchmarks()
+        .into_iter()
+        .flat_map(|w| [(w.clone(), &sets[0]), (w, &sets[1])])
+        .collect();
+    let reports = par_map(campaigns, |(w, est)| {
+        let cfg = SpotTuneConfig::new(0.7, 3).with_seed(MASTER_SEED);
+        let mut policy = SpotTuneTheta::new(est, cfg.delta_range, cfg.theta);
+        Engine::new(cfg, w, pool.clone()).run(&mut policy)
+    });
 
     let mut rows = Vec::new();
     let (mut cost_rp, mut cost_tr) = (0.0, 0.0);
     for wi in 0..6 {
-        let rp = &reports[wi * 2].1;
-        let tr = &reports[wi * 2 + 1].1;
+        let rp = &reports[wi * 2];
+        let tr = &reports[wi * 2 + 1];
         cost_rp += rp.cost;
         cost_tr += tr.cost;
         rows.push(vec![

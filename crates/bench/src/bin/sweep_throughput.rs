@@ -263,7 +263,7 @@ fn main() {
             })
             .collect();
         // One JSON line per run, appended (the BENCH_*.json convention;
-        // serde is stubbed workspace-wide, so format by hand).
+        // the workspace has no JSON library, so format by hand).
         let line = format!(
             concat!(
                 "{{\"group\":\"sweep\",\"campaigns\":{},\"scenarios\":{},\"days\":{},",

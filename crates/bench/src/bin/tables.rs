@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --release -p spottune-bench --bin tables`
 
-use rayon::prelude::*;
-use spottune_bench::print_table;
+use spottune_bench::{par_map, print_table};
 use spottune_core::SpotTuneConfig;
 use spottune_market::instance;
 use spottune_mlsim::prelude::*;
@@ -43,33 +42,30 @@ fn main() {
     // Table II: algorithms, datasets, optimizers, metrics, HP grids. Each
     // row walks its whole grid to collect the axis values — independent
     // per workload, so fan the rows across cores.
-    let rows: Vec<Vec<String>> = Workload::all_benchmarks()
-        .par_iter()
-        .map(|w| {
-            let axes: Vec<String> = w.hp_grid()[0]
-                .entries()
-                .iter()
-                .map(|(k, _)| {
-                    let mut values: Vec<String> = w
-                        .hp_grid()
-                        .iter()
-                        .map(|hp| hp.get(k).expect("axis present").to_string())
-                        .collect();
-                    values.sort();
-                    values.dedup();
-                    format!("{k}∈{{{}}}", values.join(" "))
-                })
-                .collect();
-            vec![
-                w.algorithm().name().into(),
-                w.dataset().into(),
-                w.optimizer().into(),
-                w.metric().into(),
-                format!("{}", w.max_trial_steps()),
-                axes.join(" "),
-            ]
-        })
-        .collect();
+    let rows: Vec<Vec<String>> = par_map(Workload::all_benchmarks(), |w| {
+        let axes: Vec<String> = w.hp_grid()[0]
+            .entries()
+            .iter()
+            .map(|(k, _)| {
+                let mut values: Vec<String> = w
+                    .hp_grid()
+                    .iter()
+                    .map(|hp| hp.get(k).expect("axis present").to_string())
+                    .collect();
+                values.sort();
+                values.dedup();
+                format!("{k}∈{{{}}}", values.join(" "))
+            })
+            .collect();
+        vec![
+            w.algorithm().name().into(),
+            w.dataset().into(),
+            w.optimizer().into(),
+            w.metric().into(),
+            format!("{}", w.max_trial_steps()),
+            axes.join(" "),
+        ]
+    });
     print_table(
         "Table II: ML benchmarks",
         &["algorithm", "dataset", "optimizer", "metric", "max_trial_steps", "hyper-parameters"],

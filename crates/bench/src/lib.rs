@@ -76,6 +76,36 @@ pub fn run_campaigns_with_estimator(
         .run_many(&requests)
 }
 
+/// Maps `f` over `items` on scoped threads, one per core, and returns the
+/// results in input order: the same vector as `items.into_iter().map(f)`.
+/// Items are striped round-robin, thread `t` taking items `t`, `t + n`, ….
+/// For fan-outs that are not [`CampaignRequest`]s (custom estimators,
+/// pre-trained predictor sets, table rows); campaigns go through
+/// [`BatchRunner::run_many`].
+pub fn par_map<I: Send, R: Send>(items: Vec<I>, f: impl Fn(I) -> R + Sync) -> Vec<R> {
+    let len = items.len();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(len);
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let mut stripes: Vec<Vec<I>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        stripes[i % threads].push(item);
+    }
+    let f = &f;
+    let mut results: Vec<std::vec::IntoIter<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = stripes
+            .into_iter()
+            .map(|stripe| scope.spawn(move || stripe.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("par_map thread panicked").into_iter())
+            .collect()
+    });
+    (0..len).map(|i| results[i % threads].next().expect("a stripe ran short")).collect()
+}
+
 /// Prints a CSV-ish header + rows helper used by the figure binaries.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -88,6 +118,33 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn preserves_order() {
+        let doubled = par_map((0..1000).collect(), |x: usize| x * 2);
+        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn matches_sequential_for_owned_vec() {
+        let words = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
+        assert_eq!(par_map(words, |s| s.len()), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn handles_empty_and_single() {
+        assert!(par_map(Vec::<u64>::new(), |x| x).is_empty());
+        assert_eq!(par_map(vec![7u64], |x| x + 1), vec![8]);
+    }
+
+    /// Uneven stripes: more items than threads, not a multiple of them.
+    #[test]
+    fn more_items_than_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let items: Vec<u64> = (0..(4 * cores + 3) as u64).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+        assert_eq!(par_map(items, |x| x * x + 1), expected);
+    }
 
     #[test]
     fn fig7_set_matches_paper_order() {

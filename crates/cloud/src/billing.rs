@@ -5,14 +5,13 @@
 //! users can get a full refund if the acquired instance is revoked in its
 //! first instance hour."
 
-use serde::{Deserialize, Serialize};
 use spottune_market::time::{HOUR, MINUTE};
 use spottune_market::{PriceTrace, SimTime};
 
 use crate::vm::VmId;
 
 /// Why a VM's billing period ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EndCause {
     /// The provider reclaimed the VM (market price exceeded max price).
     ProviderRevoked,
@@ -21,7 +20,7 @@ pub enum EndCause {
 }
 
 /// One finalized billing record for a VM's lifetime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BillRecord {
     /// The VM billed.
     pub vm: VmId,
@@ -127,7 +126,7 @@ pub fn settle_on_demand(
 }
 
 /// Accumulates finalized bills.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
     records: Vec<BillRecord>,
 }

@@ -1,7 +1,6 @@
 //! The discrete-event cloud provider: spot requests, revocation notices,
 //! revocations and billing, driven by per-market price traces.
 
-use serde::{Deserialize, Serialize};
 use spottune_market::{MarketPool, PoolSpine, SimDur, SimTime, SpotMarket};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -20,7 +19,7 @@ pub const NOTICE_LEAD: SimDur = SimDur::from_secs(120);
 pub const DEFAULT_LAUNCH_DELAY: SimDur = SimDur::from_secs(30);
 
 /// Event surfaced by [`CloudProvider::poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CloudEvent {
     /// The revocation warning for a VM, normally two minutes ahead.
     RevocationNotice {

@@ -7,7 +7,6 @@
 //! transfer-time accounting. The maximum checkpointable model size is
 //! `speed × 120 s`, the revocation-notice lead time.
 
-use serde::{Deserialize, Serialize};
 use spottune_market::{InstanceType, SimDur};
 use std::collections::BTreeMap;
 
@@ -54,7 +53,7 @@ pub fn transfer_time(instance: &InstanceType, size_mb: f64) -> SimDur {
 }
 
 /// A stored object's metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectMeta {
     /// Object size in MB.
     pub size_mb: f64,
@@ -66,7 +65,7 @@ pub struct ObjectMeta {
 ///
 /// Tracks object sizes and aggregate transfer statistics. The store itself is
 /// passive: callers add the returned transfer times to their own clocks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObjectStore {
     objects: BTreeMap<String, ObjectMeta>,
     bytes_up_mb: f64,

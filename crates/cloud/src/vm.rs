@@ -1,11 +1,10 @@
 //! Virtual-machine identities and lifecycle state.
 
-use serde::{Deserialize, Serialize};
 use spottune_market::{InstanceType, SimDur, SimTime};
 use std::fmt;
 
 /// Opaque identifier of a simulated VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(u64);
 
 impl VmId {
@@ -32,7 +31,7 @@ impl fmt::Display for VmId {
 }
 
 /// How a VM is billed and reclaimed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pricing {
     /// Transient capacity: billed per-second at the market price, revoked
     /// when the market price exceeds the offered maximum, eligible for the
@@ -44,7 +43,7 @@ pub enum Pricing {
 }
 
 /// Lifecycle state of a spot VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmState {
     /// Running normally.
     Running,
@@ -76,7 +75,7 @@ impl VmState {
 }
 
 /// A simulated spot VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     id: VmId,
     instance: InstanceType,

@@ -19,14 +19,13 @@
 use crate::report::HptReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use spottune_cloud::CloudProvider;
 use spottune_market::{instance, MarketPool, SimDur, SimTime};
 use spottune_mlsim::runner::ground_truth_finals_with_cache;
 use spottune_mlsim::{CurveCache, PerfModel, TrainingRun, Workload};
 
 /// Which fixed instance type the baseline uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SingleSpotKind {
     /// Lowest on-demand price in the catalog: `r4.large`.
     Cheapest,

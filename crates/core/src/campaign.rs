@@ -28,7 +28,6 @@ use crate::policy::{
 };
 use crate::provision::OracleEstimator;
 use crate::report::HptReport;
-use serde::{Deserialize, Serialize};
 use spottune_market::{
     ConstantEstimator, EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator,
 };
@@ -37,7 +36,7 @@ use spottune_revpred::{PredictorCache, PredictorKind};
 
 /// The provisioning strategies a campaign can evaluate: the paper's
 /// approaches (Fig. 7) plus the related-work policies of the policy layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Approach {
     /// SpotTune with the given θ.
     SpotTune {
@@ -186,7 +185,7 @@ impl Approach {
 }
 
 /// One unit of work submitted to the campaign server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRequest {
     /// Client-chosen correlation id, echoed in the response. The server
     /// streams responses in *completion* order; ids let clients reorder.
@@ -303,7 +302,7 @@ impl CampaignRequest {
 }
 
 /// The server's answer to one [`CampaignRequest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResponse {
     /// Echo of [`CampaignRequest::id`].
     pub id: u64,

@@ -1,10 +1,9 @@
 //! User-facing configuration (paper Table I) plus system knobs.
 
-use serde::{Deserialize, Serialize};
 use spottune_market::{SimDur, SimTime};
 
 /// How the orchestrator advances simulated time through Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DriveMode {
     /// Faithful fixed-interval polling: one full loop body every
     /// `poll_interval` (the paper's literal 10-second loop). Retained as
@@ -27,7 +26,7 @@ pub enum DriveMode {
 /// the workload — all our metrics are lower-is-better losses),
 /// `max_trial_steps` (carried by the workload), [`theta`](Self::theta) and
 /// [`mcnt`](Self::mcnt). The rest are system constants from Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpotTuneConfig {
     /// Early-shutdown rate θ: predict finals after `θ × max_trial_steps`
     /// steps. `1.0` disables EarlyCurve.

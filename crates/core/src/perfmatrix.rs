@@ -6,7 +6,6 @@
 //! `c0 / vcpus` — more cores, fewer expected seconds per step — and refine
 //! with an EWMA of observed per-step times.
 
-use serde::{Deserialize, Serialize};
 use spottune_market::stats::Ewma;
 use spottune_market::InstanceType;
 
@@ -30,7 +29,7 @@ pub struct PerfMatrix {
 }
 
 /// Snapshot of one matrix cell for reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfCell {
     /// Instance-type name.
     pub instance: String,

@@ -6,12 +6,11 @@
 use crate::perfmatrix::PerfMatrix;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 use spottune_market::{MarketPool, PoolSpine, RevocationEstimator, SimDur, SimTime};
 use std::sync::Arc;
 
 /// Result of one provisioning decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstChoice {
     /// Chosen instance-type name.
     pub instance: String,

@@ -1,11 +1,10 @@
 //! Campaign reports: cost, JCT, PCR, refund attribution and selection
 //! accuracy — everything Figs. 7–9 and 12 plot.
 
-use serde::{Deserialize, Serialize};
 use spottune_market::SimDur;
 
 /// Outcome of one HPT campaign (SpotTune or a baseline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HptReport {
     /// Approach label, e.g. `"SpotTune(θ=0.7)"`.
     pub approach: String,

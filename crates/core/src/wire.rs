@@ -1,11 +1,9 @@
 //! Wire format for the campaign server: hand-rolled JSON for
 //! [`CampaignRequest`]/[`CampaignResponse`].
 //!
-//! The workspace's `serde` is an offline no-op stand-in (no registry
-//! access), so the request/response types carry their derives as
-//! documentation only. This module provides the actual transport encoding
-//! the server's persistence/IPC follow-on needs: a small JSON value model,
-//! a recursive-descent parser, and explicit encoders/decoders for the two
+//! The workspace builds offline with no serialization library, so this
+//! module is the transport encoding: a small JSON value model, a
+//! recursive-descent parser, and explicit encoders/decoders for the two
 //! wire types.
 //!
 //! Design rules:

@@ -16,10 +16,9 @@
 //! non-negative is accepted.
 
 use crate::solver::solve_in_place;
-use serde::{Deserialize, Serialize};
 
 /// Fitted coefficients for one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageFit {
     /// Quadratic coefficient (Eq. 4 `a_{i0}`).
     pub a0: f64,

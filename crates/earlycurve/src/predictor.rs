@@ -4,10 +4,9 @@
 use crate::fit::{fit_stage, fit_stage_scratch, StageFit};
 use crate::kernel::FitScratch;
 use crate::stage::{detect_boundaries, detect_boundaries_into, split_stages, StageConfig};
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of the predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarlyCurveConfig {
     /// Stage-boundary detection thresholds (Eq. 7).
     pub stage: StageConfig,
@@ -34,7 +33,7 @@ impl Default for EarlyCurveConfig {
 }
 
 /// A fitted piecewise curve (Eq. 4–6): one [`StageFit`] per detected stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagedFit {
     stages: Vec<StageFit>,
     /// Step of the last observed point.
@@ -82,7 +81,7 @@ impl StagedFit {
 /// let predicted_final = fit.predict(400);
 /// assert!((predicted_final - 0.4).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EarlyCurve {
     config: EarlyCurveConfig,
     points: Vec<(u64, f64)>,

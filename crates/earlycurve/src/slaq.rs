@@ -8,10 +8,9 @@
 //! final-metric prediction degrades — the comparison of paper Fig. 11.
 
 use crate::fit::{fit_stage, StageFit};
-use serde::{Deserialize, Serialize};
 
 /// Single-stage curve predictor.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Slaq {
     points: Vec<(u64, f64)>,
 }

@@ -6,13 +6,11 @@
 //! a model's metric is suddenly high after a steady period, it could be
 //! considered to be moving to a new stage."
 
-use serde::{Deserialize, Serialize};
-
 /// Detection thresholds. Paper defaults are `ξ = 0.5`, `ε = 0.01`,
 /// window 5; [`StageConfig::default`] uses `ξ = 0.3`, `ε = 0.05` instead
 /// because this harness's curves carry ~2 % multiplicative metric noise and
 /// gentler decay drops than ResNet-56's (see the crate's design notes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageConfig {
     /// Threshold `ξ` on the instantaneous change rate.
     pub xi: f64,

@@ -15,10 +15,9 @@
 //! plateau is line-searched exactly like [`crate::fit::fit_stage`].
 
 use crate::solver::weighted_least_squares;
-use serde::{Deserialize, Serialize};
 
 /// Fitted geometric-convergence coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeometricFit {
     /// Plateau the curve decays toward.
     pub a3: f64,
@@ -112,7 +111,7 @@ fn fit_with_plateau(points: &[(u64, f64)], start: u64, a3: f64) -> Option<Geomet
 /// Picks between the rational (sublinear) and geometric (superlinear)
 /// families by residual — lets callers handle optimizers of unknown
 /// convergence order automatically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AutoFit {
     /// The Eq. 4 rational family won.
     Rational(crate::fit::StageFit),

@@ -7,7 +7,6 @@
 //! learned predictors (`spottune-revpred`) can both depend on it without
 //! depending on each other.
 
-use serde::{Deserialize, Serialize};
 use crate::time::SimTime;
 use std::fmt;
 use std::fmt::Debug;
@@ -43,7 +42,7 @@ pub const DEFAULT_ORACLE_CONFIDENCE: f64 = 0.9;
 /// the `run_campaigns --estimator` flag) is the lower-case kind name with
 /// an optional parenthesized argument: `oracle`, `oracle(0.8)`,
 /// `constant(0.25)`, `revpred`, `tributary`, `logistic`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EstimatorSpec {
     /// Ground-truth trace inspection tempered by `confidence ∈ [0.5, 1]`.
     Oracle {

@@ -1,13 +1,12 @@
 //! EC2-like instance types and the experimental catalog (paper Table III).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Static description of a cloud instance type.
 ///
 /// Matches one row of Table III in the paper: name, vCPU count, memory and
 /// the (fixed) on-demand hourly price.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceType {
     name: String,
     vcpus: u32,

@@ -5,12 +5,11 @@ use crate::instance::{self, InstanceType};
 use crate::price::PriceTrace;
 use crate::synth::{regime_for, TraceGenerator};
 use crate::time::{SimDur, SimTime, HOUR};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One spot market: "different instance types have different spot markets"
 /// (§II.A), so each [`InstanceType`] carries its own [`PriceTrace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpotMarket {
     instance: InstanceType,
     trace: PriceTrace,
@@ -68,7 +67,7 @@ impl SpotMarket {
 /// estimator does) is a reference-count bump, not a deep copy of megabytes
 /// of price traces — essential when fanning thousands of campaigns over
 /// the same markets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketPool {
     markets: Arc<[SpotMarket]>,
 }

@@ -11,7 +11,6 @@
 use crate::market::MarketPool;
 use crate::time::SimDur;
 use crate::tier::Tier;
-use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 
 /// Identifies one reproducible market environment: the standard Table-III
@@ -21,7 +20,7 @@ use std::ops::Deref;
 /// This is the wire-level key of the pool tier: requests name a scenario
 /// instead of shipping megabytes of price traces, and equal scenarios are
 /// guaranteed to resolve to the identical (shared) pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MarketScenario {
     /// Trace length in minutes.
     pub trace_mins: u64,

@@ -7,10 +7,9 @@
 //! features.
 
 use crate::time::{SimDur, SimTime, HOUR, MINUTE};
-use serde::{Deserialize, Serialize};
 
 /// One raw spot-price record: the market price that became effective at `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricePoint {
     /// Instant the price became effective.
     pub at: SimTime,
@@ -26,7 +25,7 @@ pub struct PricePoint {
 /// well-defined. Window queries account for that extension explicitly: a
 /// window past the end averages the (still effective) last price rather
 /// than silently reporting a clamped in-trace sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceTrace {
     /// Price per minute, `per_minute[i]` effective during minute `i`.
     per_minute: Vec<f64>,

@@ -21,10 +21,9 @@ use crate::price::PriceTrace;
 use crate::time::{SimDur, SimTime, MINUTE};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Volatility regime presets for a synthetic spot market.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regime {
     /// Price rarely moves; revocations are unlikely. The "very stable"
     /// markets of §V.A where SpotTune degenerates to lowest step cost.
@@ -38,7 +37,7 @@ pub enum Regime {
 }
 
 /// Tunable parameters of the trace generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceGenConfig {
     /// Spot baseline as a fraction of the on-demand price.
     pub base_fraction: f64,

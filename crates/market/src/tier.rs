@@ -10,14 +10,13 @@
 //! single-flight builds, the optional LRU bound, the counters, the rule for
 //! a build that panics — lives here once.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Hit/miss counters of a shared cache tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,

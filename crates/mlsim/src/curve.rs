@@ -14,10 +14,9 @@
 //!   mishandles and EarlyCurve's piecewise fit (Eq. 4) targets.
 
 use crate::hp::HpSetting;
-use serde::{Deserialize, Serialize};
 
 /// One stage of a staged training curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage {
     /// First step of the stage (inclusive).
     pub start: u64,
@@ -40,7 +39,7 @@ impl Stage {
 }
 
 /// A piecewise sublinear training curve with deterministic per-step noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagedCurveModel {
     stages: Vec<Stage>,
     noise: f64,
@@ -102,7 +101,7 @@ fn unit_noise(seed: u64, k: u64) -> f64 {
 }
 
 /// Which CNN benchmark a curve models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CnnKind {
     /// AlexNet on CIFAR-10 (Table II row 5).
     AlexNet,

@@ -1,10 +1,9 @@
 //! Hyper-parameter settings and grid expansion.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One hyper-parameter value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HpValue {
     /// Integer-valued HP (batch size, #layers, …).
     Int(i64),
@@ -44,7 +43,7 @@ impl From<&str> for HpValue {
 
 /// An ordered set of named hyper-parameter values — one point of the search
 /// grid (one "model" in the paper's Fig. 2).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HpSetting {
     entries: Vec<(String, HpValue)>,
 }

@@ -2,11 +2,10 @@
 //! optimizers, metrics and hyper-parameter grids.
 
 use crate::hp::{expand_grid, GridAxis, HpSetting, HpValue};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The ML algorithms benchmarked in the paper (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Logistic regression on the Epsilon-like dataset.
     LoR,
@@ -56,7 +55,7 @@ impl fmt::Display for Algorithm {
 
 /// One benchmark workload: an algorithm plus everything Table II specifies
 /// about it, with the HP grid expanded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     algorithm: Algorithm,
     dataset: &'static str,

@@ -5,7 +5,6 @@
 use crate::features::{features_at, RECORD_FEATURES};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use spottune_market::stats::trimmed_mean_with_zeros;
 use spottune_market::time::HOUR;
 use spottune_market::{SimDur, SimTime, SpotMarket};
@@ -19,7 +18,7 @@ pub const HISTORY_LEN: usize = 59;
 pub const PRESENT_FEATURES: usize = RECORD_FEATURES + 1;
 
 /// One supervised sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// `HISTORY_LEN` normalized feature records, oldest first.
     pub history: Vec<[f64; RECORD_FEATURES]>,
@@ -32,7 +31,7 @@ pub struct Sample {
 }
 
 /// How the training max price is generated from the current price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaPolicy {
     /// RevPred's Algorithm 2: current price + trimmed mean (drop smallest
     /// and largest 20 %) of the absolute per-minute price changes over the

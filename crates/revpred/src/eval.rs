@@ -1,9 +1,7 @@
 //! Binary-classification evaluation: accuracy and F1 (paper Fig. 10(a,b)).
 
-use serde::{Deserialize, Serialize};
-
 /// Confusion-matrix counts at a fixed threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BinaryEval {
     /// True positives.
     pub tp: usize,

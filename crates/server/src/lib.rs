@@ -85,13 +85,12 @@
 //! println!("predictor tier: {} trainings", stats.predictor_cache.misses);
 //! ```
 
-use crossbeam::channel::{self, Receiver, Sender};
-use serde::{Deserialize, Serialize};
 use spottune_core::{BatchRunner, CampaignRequest, CampaignResponse, CohortPlan};
 use spottune_market::{CacheStats, PoolCache, SpineCache};
 use spottune_mlsim::CurveCache;
 use spottune_revpred::PredictorCache;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self as channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -102,7 +101,7 @@ mod queue;
 use queue::{FairQueue, PushError};
 
 /// Campaign-server configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker-pool size; `0` (the default) means one worker per available
     /// core. It is also the most campaigns that run at once: a connection
@@ -164,7 +163,7 @@ impl ServerConfig {
 }
 
 /// A snapshot of the server's counters and shared-tier state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerStats {
     /// Worker-pool size; `0` once the pool has been joined.
     pub workers: usize,
@@ -546,7 +545,7 @@ impl CampaignServer {
     /// whatever it is given, and a request that fails engine validation
     /// panics its campaign, shortening the stream by one response.
     pub fn submit_sweep(&self, requests: Vec<CampaignRequest>) -> Receiver<CampaignResponse> {
-        let (reply_tx, reply_rx) = channel::unbounded();
+        let (reply_tx, reply_rx) = channel::channel();
         // A queue closed by a drain or teardown must not panic the client:
         // the stream disconnects short, as for a panicked campaign.
         if self.is_draining() {
@@ -584,7 +583,7 @@ impl CampaignServer {
         request: CampaignRequest,
         deadline: Option<Instant>,
     ) -> Result<Receiver<WorkOutcome>, SubmitError> {
-        let (reply_tx, reply_rx) = channel::unbounded();
+        let (reply_tx, reply_rx) = channel::channel();
         self.try_submit_to(0, usize::MAX, request, deadline, Box::new(reply_tx), false)?;
         Ok(reply_rx)
     }
@@ -1103,8 +1102,7 @@ mod tests {
         // queued, nothing panicked.
         let mut poisoned = request(0);
         poisoned.approach = Approach::SpotTune { theta: f64::NAN };
-        let err =
-            server.submit_sweep_checked(vec![poisoned]).err().expect("NaN theta must be rejected");
+        let err = server.submit_sweep_checked(vec![poisoned]).expect_err("NaN theta must be rejected");
         assert!(err.contains("theta"), "{err}");
         // A zero-length scenario is just as undecodable-into-work.
         let mut empty = request(1);
@@ -1166,7 +1164,7 @@ mod tests {
         let server = CampaignServer::start(ServerConfig::with_workers(1));
         let mut receivers = Vec::new();
         let refusal = (0..500).find_map(|i| {
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = channel::channel();
             receivers.push(rx);
             server.try_submit_to(7, 1, request(i), None, Box::new(tx), false).err()
         });

@@ -37,7 +37,8 @@
 //! * **Backpressure** — a lane holds at most
 //!   [`AdmissionConfig::staging_capacity`] requests and the whole queue at
 //!   most [`ServerConfig::queue_capacity`](crate::ServerConfig); a request
-//!   past either bound gets an `overloaded` frame.
+//!   past either bound gets an `overloaded` frame. So does a connection
+//!   accepted while [`MAX_CONNECTIONS`] are live, which is then closed.
 //! * **Deadlines** — `deadline_ms` starts counting at receipt; a request
 //!   still queued past its deadline is cancelled (never run) and
 //!   answered with a `deadline-exceeded` frame.
@@ -81,6 +82,11 @@ pub const WRITE_STALL: Duration = Duration::from_secs(2);
 /// kernel rounds it up to a scheduler tick: a worker loses a few
 /// milliseconds at most each time a client's socket fills up.
 const HANDOFF: Duration = Duration::from_millis(1);
+
+/// Live connections the front-end serves at once: each costs a reader
+/// thread, a lane and up to [`MAX_BACKLOG`] of replies. One past it gets
+/// an `overloaded` frame and is closed. The ledger opens at most five.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// Reply bytes a connection may have waiting; a frame that would pass it
 /// cuts the client off. A full default lane of replies (256 of about
@@ -336,6 +342,8 @@ struct NetCounters {
     /// Connections accepted; the `n`-th gets lane `n` (0 is in-process).
     connections: AtomicU64,
     connections_active: AtomicU64,
+    /// Connections closed at accept: over the cap, or no reader thread.
+    connections_refused: AtomicU64,
     throttled: AtomicU64,
     malformed: AtomicU64,
 }
@@ -343,6 +351,8 @@ struct NetCounters {
 struct Inner {
     core: CampaignServer,
     admission: AdmissionConfig,
+    /// [`MAX_CONNECTIONS`] outside tests.
+    max_connections: usize,
     addr: SocketAddr,
     draining: AtomicBool,
     counters: NetCounters,
@@ -352,13 +362,14 @@ struct Inner {
 }
 
 impl Inner {
-    /// [`ServerStats::fields`](crate::ServerStats::fields) plus the four
+    /// [`ServerStats::fields`](crate::ServerStats::fields) plus the five
     /// front-end counters.
     fn stats_frame(&self) -> String {
         let mut fields = self.core.stats().fields();
         fields.extend([
             ("connections", self.counters.connections.load(Ordering::Relaxed)),
             ("connections_active", self.counters.connections_active.load(Ordering::Relaxed)),
+            ("connections_refused", self.counters.connections_refused.load(Ordering::Relaxed)),
             ("throttled", self.counters.throttled.load(Ordering::Relaxed)),
             ("malformed_frames", self.counters.malformed.load(Ordering::Relaxed)),
         ]);
@@ -408,6 +419,7 @@ impl NetServer {
         let inner = Arc::new(Inner {
             core: CampaignServer::start(config.server),
             admission: config.admission,
+            max_connections: MAX_CONNECTIONS,
             addr,
             draining: AtomicBool::new(false),
             counters: NetCounters::default(),
@@ -474,27 +486,44 @@ impl NetServer {
     }
 }
 
-/// Spawns the reader for one accepted connection, on the next lane.
+/// Spawns the reader for one accepted connection, on the next lane, or
+/// refuses the connection: past the live-connection cap, or when the OS
+/// refuses the thread.
 fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream) {
     // A socket that refuses an option still works, slower or unbounded.
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(HANDOFF));
-    let lane = inner.counters.connections.fetch_add(1, Ordering::Relaxed) + 1;
-    inner.counters.connections_active.fetch_add(1, Ordering::Relaxed);
+    let active = inner.counters.connections_active.fetch_add(1, Ordering::Relaxed);
     let writer = SharedWriter::new(stream);
+    if active >= inner.max_connections as u64 {
+        return refuse(inner, &writer, format!("connection limit ({})", inner.max_connections));
+    }
+    let lane = inner.counters.connections.fetch_add(1, Ordering::Relaxed) + 1;
     let mut connections = lock_clean(&inner.connections);
     // Close finished connections: a writer only this list holds has no
     // reader, no queued reply and no flusher left to use it.
     connections.retain(|(writer, _)| Arc::strong_count(writer) > 1);
     let reader = {
         let (inner, writer) = (Arc::clone(inner), Arc::clone(&writer));
-        std::thread::spawn(move || {
+        std::thread::Builder::new().spawn(move || {
             reader_loop(&inner, lane, &writer);
             drop(writer);
             inner.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
         })
     };
-    connections.push((writer, reader));
+    match reader {
+        Ok(reader) => connections.push((writer, reader)),
+        Err(_) => refuse(inner, &writer, "no thread for a reader".to_string()),
+    }
+}
+
+/// Turns an accepted connection away with one `overloaded` frame, then
+/// closes it.
+fn refuse(inner: &Inner, writer: &Arc<SharedWriter>, message: String) {
+    inner.counters.connections_active.fetch_sub(1, Ordering::Relaxed);
+    inner.counters.connections_refused.fetch_add(1, Ordering::Relaxed);
+    writer.send_error(None, ErrorKind::Overloaded, message);
+    writer.close();
 }
 
 /// Reads frames off one connection until EOF, answering admin frames
@@ -591,81 +620,145 @@ mod tests {
     use spottune_core::wire::ServerFrame;
     use spottune_core::{Approach, CampaignRequest};
     use spottune_market::{EstimatorSpec, MarketScenario};
-    use spottune_mlsim::{Algorithm, Workload};
+    use spottune_mlsim::{Algorithm, CurveCache, Workload};
+
+    /// How long a test waits on the server before it fails.
+    const PATIENCE: Duration = Duration::from_secs(30);
+
+    type Served = (SocketAddr, ShutdownHandle, Arc<Inner>, JoinHandle<io::Result<()>>);
+
+    /// A one-worker front-end with a live-connection cap of `cap`, served
+    /// on a background thread.
+    fn serve(cap: usize) -> Served {
+        let config =
+            NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
+        let mut net = NetServer::bind("127.0.0.1:0", config).expect("bind ephemeral");
+        Arc::get_mut(&mut net.inner).expect("no handle yet").max_connections = cap;
+        let (addr, handle, inner) = (net.local_addr(), net.handle(), Arc::clone(&net.inner));
+        (addr, handle, inner, std::thread::spawn(move || net.run()))
+    }
+
+    fn request(id: u64) -> CampaignRequest {
+        let base = Workload::benchmark(Algorithm::LoR);
+        CampaignRequest {
+            id,
+            approach: Approach::SpotTune { theta: 0.7 },
+            workload: Workload::custom(Algorithm::LoR, 25, base.hp_grid()[..2].to_vec()),
+            scenario: MarketScenario::from_days(1, 5),
+            seed: id,
+            estimator: EstimatorSpec::default(),
+        }
+    }
+
+    /// Writes `frame` (if any) on `stream` and reads one frame back, on a
+    /// helper thread, so a server that never answers fails the test rather
+    /// than hanging it. `None` is EOF.
+    fn reply_to(stream: &TcpStream, frame: Option<String>) -> Option<ServerFrame> {
+        let mut stream = stream.try_clone().expect("clone");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            if let Some(frame) = frame {
+                stream.write_all(format!("{frame}\n").as_bytes()).expect("send");
+            }
+            let mut line = String::new();
+            let _ = BufReader::new(&stream).read_line(&mut line);
+            let _ = tx.send(line);
+        });
+        let line = rx.recv_timeout(PATIENCE).expect("no reply in time");
+        (!line.is_empty()).then(|| wire::decode_server_frame(line.trim()).expect("decodes"))
+    }
+
+    fn stats(stream: &TcpStream) -> Vec<(String, u64)> {
+        match reply_to(stream, Some(wire::encode_stats_request())) {
+            Some(ServerFrame::Stats(fields)) => fields,
+            other => panic!("expected a stats frame, got {other:?}"),
+        }
+    }
+
+    /// Waits until at most `n` readers are live.
+    fn await_active(inner: &Inner, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while inner.counters.connections_active.load(Ordering::SeqCst) > n {
+            assert!(Instant::now() < deadline, "hung-up readers never finished");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn stop(handle: ShutdownHandle, server: JoinHandle<io::Result<()>>) {
+        handle.shutdown();
+        server.join().expect("server thread must not panic").expect("clean run");
+    }
 
     /// The frame is [`ServerStats::fields`](crate::ServerStats::fields)
     /// plus the front-end counters — read over a real socket after a sweep
     /// on the wrapped server, so the lane counters are live.
     #[test]
     fn stats_frame_carries_every_server_stat_and_the_front_end_counters() {
-        let config =
-            NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
-        let net = NetServer::bind("127.0.0.1:0", config).expect("bind ephemeral");
-        let base = Workload::benchmark(Algorithm::LoR);
-        let sweep = (0..2)
-            .map(|id| CampaignRequest {
-                id,
-                approach: Approach::SpotTune { theta: 0.7 },
-                workload: Workload::custom(Algorithm::LoR, 25, base.hp_grid()[..2].to_vec()),
-                scenario: MarketScenario::from_days(1, 5),
-                seed: id,
-                estimator: EstimatorSpec::default(),
-            })
-            .collect();
-        assert_eq!(net.inner.core.run_sweep(sweep).len(), 2);
+        let (addr, handle, inner, server) = serve(MAX_CONNECTIONS);
+        assert_eq!(inner.core.run_sweep(vec![request(0), request(1)]).len(), 2);
         let mut want: Vec<&str> =
-            net.inner.core.stats().fields().into_iter().map(|(name, _)| name).collect();
-        want.extend(["connections", "connections_active", "throttled", "malformed_frames"]);
+            inner.core.stats().fields().into_iter().map(|(name, _)| name).collect();
+        want.extend(["connections", "connections_active", "connections_refused"]);
+        want.extend(["throttled", "malformed_frames"]);
 
-        let (addr, handle) = (net.local_addr(), net.handle());
-        let server = std::thread::spawn(move || net.run());
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(format!("{}\n", wire::encode_stats_request()).as_bytes()).expect("send");
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line).expect("stats frame");
-        let ServerFrame::Stats(fields) = wire::decode_server_frame(line.trim()).expect("decodes")
-        else {
-            panic!("expected a stats frame, got {line}");
-        };
+        let fields = stats(&TcpStream::connect(addr).expect("connect"));
         let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(names, want);
         let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
         assert!(get("kernel_invocations") > Some(0), "{fields:?}");
         assert!(get("lane_jobs") <= get("lane_slots") && get("lane_jobs") > Some(0), "{fields:?}");
         assert_eq!(get("connections_active"), Some(1));
-
-        handle.shutdown();
-        server.join().expect("server thread must not panic").expect("clean run");
+        stop(handle, server);
     }
 
     /// Each accept closes the connections that are done: after fifty
     /// clients connected and hung up, the list holds only the live one.
     #[test]
     fn finished_connections_are_closed_at_the_next_accept() {
-        let config =
-            NetServerConfig { server: ServerConfig::with_workers(1), ..NetServerConfig::default() };
-        let net = NetServer::bind("127.0.0.1:0", config).expect("bind ephemeral");
-        let (addr, handle, inner) = (net.local_addr(), net.handle(), Arc::clone(&net.inner));
-        let server = std::thread::spawn(move || net.run());
-        let stats_round_trip = |stream: &TcpStream| {
-            let mut out = stream;
-            out.write_all(format!("{}\n", wire::encode_stats_request()).as_bytes()).expect("send");
-            let mut line = String::new();
-            BufReader::new(stream).read_line(&mut line).expect("stats frame");
-        };
+        let (addr, handle, inner, server) = serve(MAX_CONNECTIONS);
         for _ in 0..50 {
-            stats_round_trip(&TcpStream::connect(addr).expect("connect"));
+            stats(&TcpStream::connect(addr).expect("connect"));
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while inner.counters.connections_active.load(Ordering::SeqCst) > 0 {
-            assert!(Instant::now() < deadline, "hung-up readers never finished");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        await_active(&inner, 0);
         let live = TcpStream::connect(addr).expect("connect");
-        stats_round_trip(&live);
+        stats(&live);
         assert_eq!(lock_clean(&inner.connections).len(), 1, "only the live connection is kept");
+        stop(handle, server);
+    }
 
-        handle.shutdown();
-        server.join().expect("server thread must not panic").expect("clean run");
+    /// Past the live-connection cap a connection gets one `overloaded`
+    /// frame and EOF, through the same refusal a reader thread the OS
+    /// refuses takes; once a client hangs up, a new connection is served.
+    #[test]
+    fn a_connection_past_the_cap_is_refused_until_one_hangs_up() {
+        let (addr, handle, inner, server) = serve(4);
+        // A stats round trip on each: all four are served before the fifth connects.
+        let mut live = Vec::new();
+        for _ in 0..4 {
+            live.push(TcpStream::connect(addr).expect("connect"));
+            stats(&live[live.len() - 1]);
+        }
+        let fifth = TcpStream::connect(addr).expect("connect");
+        let Some(ServerFrame::Error(refusal)) = reply_to(&fifth, None) else {
+            panic!("expected an error frame");
+        };
+        assert_eq!(refusal.kind, ErrorKind::Overloaded);
+        assert_eq!(refusal.message, "connection limit (4)");
+        assert_eq!(reply_to(&fifth, None), None, "the refused connection is closed");
+        assert_eq!(inner.counters.connections_refused.load(Ordering::SeqCst), 1);
+
+        drop(live.remove(0));
+        await_active(&inner, 3);
+        let request = request(9);
+        let frame = Some(wire::encode_request(&request));
+        let Some(ServerFrame::Response(response)) =
+            reply_to(&TcpStream::connect(addr).expect("connect"), frame)
+        else {
+            panic!("expected a response");
+        };
+        let serial = request.run_serial(&request.scenario.build(), &CurveCache::global());
+        assert_eq!(response.report, serial);
+        assert_eq!(inner.counters.connections_refused.load(Ordering::SeqCst), 1);
+        stop(handle, server);
     }
 }

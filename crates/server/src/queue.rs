@@ -2,8 +2,8 @@
 //! submitter (a TCP connection each; in-process callers share lane 0),
 //! served round robin one item per turn, so one chatty submitter cannot
 //! starve the rest. A global capacity bounds the total; each push names
-//! its lane's bound. One `Mutex` plus two `Condvar`s, as in the vendored
-//! channel; a lane leaves the map when it empties.
+//! its lane's bound. One `Mutex` plus two `Condvar`s; a lane leaves the
+//! map when it empties.
 //!
 //! A parked worker's turn can be *lent* ([`FairQueue::lend`]) to a caller
 //! that runs one item on its own thread while the worker sleeps on: the

@@ -4,11 +4,11 @@
 //! shared tiers and completion-order scheduling change wall-clock, never
 //! results — and the cross-request curve-memo tier actually gets hits.
 
-use crossbeam::channel::TryRecvError;
 use spottune_core::prelude::*;
 use spottune_market::{EstimatorSpec, MarketScenario};
 use spottune_mlsim::prelude::*;
 use spottune_server::{CampaignServer, ServerConfig};
+use std::sync::mpsc::TryRecvError;
 
 fn tiny(algorithm: Algorithm, steps: u64) -> Workload {
     let base = Workload::benchmark(algorithm);

@@ -10,7 +10,7 @@
 //!    suites (tick≡event, policy/estimator defaults, fault replay) only
 //!    mean anything if these hold.
 //! 2. **Robustness** — no panic reachable from untrusted input on the
-//!    request path (P1).
+//!    request path, and no `thread::spawn` in the server or client (P1).
 //! 3. **Confinement** — `unsafe` stays inside the audited kernel modules
 //!    (U1); everywhere else it needs a `spotlint.allow` audit.
 //!
@@ -23,7 +23,7 @@ pub mod allow;
 pub mod lexer;
 pub mod rules;
 
-use rules::{check_d1, check_d2, check_d3, check_p1, check_u1, FileCtx, Finding};
+use rules::{check_d1, check_d2, check_d3, check_p1, check_spawn, check_u1, FileCtx, Finding};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -54,6 +54,11 @@ pub const UNSAFE_SCOPE_CRATES: &[&str] = &[
     "crates/server",
     "crates/client",
 ];
+
+/// Crates whose non-test code must start threads through
+/// `thread::Builder` (P1): a thread the OS refuses is an error there, not
+/// a panic.
+pub const SPAWN_SCOPE_CRATES: &[&str] = &["crates/server", "crates/client"];
 
 /// Files forming the untrusted-input path (P1): wire decode, the server
 /// request handling (core pool and TCP front-end), and the client's
@@ -120,6 +125,9 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
                 }
             }
             findings.extend(check_u1(&ctx));
+            if SPAWN_SCOPE_CRATES.contains(krate) {
+                findings.extend(check_spawn(&ctx));
+            }
             files_scanned += 1;
         }
     }

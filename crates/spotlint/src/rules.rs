@@ -95,7 +95,8 @@ on purpose.",
     },
     RuleInfo {
         id: "P1",
-        summary: "unwrap/expect/panic! in the server request path, TCP front-end, wire decode, or client",
+        summary: "unwrap/expect/panic! in the server request path, TCP front-end, wire decode, or client; \
+                  `thread::spawn` in the server or client",
         explain: "\
 P1 — panics reachable from untrusted input.
 
@@ -112,6 +113,11 @@ submission boundary (`CampaignRequest::validate`,
 `CampaignServer::submit_sweep_checked`) on the server side. Deliberate,
 documented panics (propagating a worker panic at shutdown, resource
 exhaustion at startup) are audited via `spotlint.allow`.
+
+`thread::spawn` anywhere in the server or client crates is flagged too:
+it panics when the OS refuses a thread, so a burst of connections would
+take down the accept loop and every queued campaign with it. Use
+`thread::Builder::new().spawn(..)` and handle the `Err`.
 
 Test code is exempt.",
     },
@@ -353,6 +359,18 @@ pub fn check_p1(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
+/// P1: `thread::spawn(`, which panics when the OS refuses a thread.
+/// `Builder::new().spawn(` and `scope.spawn(` are not this path and pass.
+pub fn check_spawn(ctx: &FileCtx) -> Vec<Finding> {
+    let is = |i: usize, name: &str| ctx.toks[i].tok.is_ident(name);
+    let message = "use `thread::Builder::spawn`: `thread::spawn` panics when the OS refuses a thread";
+    (2..ctx.toks.len())
+        .filter(|&i| !ctx.in_test[i] && is(i - 2, "thread") && ctx.toks[i - 1].tok.is_op("::"))
+        .filter(|&i| is(i, "spawn") && ctx.toks.get(i + 1).is_some_and(|t| t.tok.is_punct('(')))
+        .map(|i| ctx.finding("P1", ctx.toks[i].line, message.to_string()))
+        .collect()
+}
+
 /// The audited homes of `unsafe` (U1): the lane kernel and its SoA
 /// staging layer. Workspace-relative paths, forward slashes.
 pub const KERNEL_MODULES: &[&str] =
@@ -457,6 +475,23 @@ mod tests {
         "#;
         let f = check_p1(&ctx("crates/server/src/lib.rs", src));
         assert_eq!(f.len(), 4, "{f:?}");
+    }
+
+    #[test]
+    fn p1_flags_thread_spawn_but_not_builder_or_scope_spawns() {
+        let src = r#"
+            fn f() {
+                std::thread::spawn(|| {});
+                thread::spawn(move || work());
+                let b = std::thread::Builder::new().spawn(|| {});
+                std::thread::scope(|scope| { scope.spawn(|| {}); });
+            }
+            #[cfg(test)]
+            mod tests { fn t() { std::thread::spawn(|| {}); } }
+        "#;
+        let f = check_spawn(&ctx("crates/server/src/net.rs", src));
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), vec![3, 4], "{f:?}");
+        assert!(f.iter().all(|f| f.rule == "P1" && f.message.contains("thread::Builder::spawn")));
     }
 
     #[test]
