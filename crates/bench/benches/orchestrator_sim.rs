@@ -2,6 +2,7 @@
 //! end-to-end cost of simulating Algorithm 1 against the cloud substrate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use spottune_core::policy::SingleSpot;
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
@@ -23,36 +24,20 @@ fn bench_campaign(c: &mut Criterion) {
     // simulated hours — the regime the event-driven core exists for.
     let base = Workload::benchmark(Algorithm::ResNet);
     let small = Workload::custom(Algorithm::ResNet, 60, base.hp_grid()[..4].to_vec());
-    // Default (event-driven) drive vs the retained 10-second tick loop —
-    // the two produce bit-identical reports (see the
-    // tick_event_equivalence tests), so the ratio is pure scheduling
-    // overhead.
     group.bench_function("campaign_4cfg_60steps_theta07", |b| {
         b.iter(|| spottune(SpotTuneConfig::new(0.7, 2).with_seed(9), &small, &pool))
-    });
-    group.bench_function("campaign_4cfg_60steps_theta07_tickloop", |b| {
-        b.iter(|| {
-            let cfg = SpotTuneConfig::new(0.7, 2)
-                .with_seed(9)
-                .with_drive_mode(DriveMode::Tick);
-            spottune(cfg, &small, &pool)
-        })
     });
     let lor = Workload::benchmark(Algorithm::LoR);
     let lor_small = Workload::custom(Algorithm::LoR, 60, lor.hp_grid()[..4].to_vec());
     group.bench_function("campaign_lor_4cfg_60steps_theta07", |b| {
         b.iter(|| spottune(SpotTuneConfig::new(0.7, 2).with_seed(9), &lor_small, &pool))
     });
+    // The Single-Spot baseline on the dedicated drive, submitted at 02:00.
+    let cfg =
+        SpotTuneConfig { start: SimTime::from_hours(2), ..SpotTuneConfig::new(1.0, 3).with_seed(9) };
+    let baseline = Engine::new(cfg, small.clone(), pool.clone());
     group.bench_function("single_spot_baseline_4cfg", |b| {
-        b.iter(|| {
-            run_single_spot(
-                SingleSpotKind::Cheapest,
-                &small,
-                &pool,
-                SimTime::from_hours(2),
-                9,
-            )
-        })
+        b.iter(|| baseline.run(&mut SingleSpot::new(SingleSpotKind::Cheapest)))
     });
     group.finish();
 }

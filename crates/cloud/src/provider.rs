@@ -265,9 +265,9 @@ impl CloudProvider {
     }
 
     /// Advances provider-side state to time `t` and returns the events that
-    /// fired since the last poll (notices first, then revocations, ordered
-    /// by VM id for determinism — the same sequence [`Self::poll_scan`]
-    /// produces).
+    /// fired since the last poll, ordered by VM id for determinism (a VM's
+    /// notice before its revocation) — the same sequence a scan over every
+    /// VM in id order produces (the tests keep that scan as the reference).
     ///
     /// Only pending agenda entries up to `t` are visited, so a poll costs
     /// O(events fired · log pending), independent of how many VMs exist.
@@ -283,8 +283,8 @@ impl CloudProvider {
             self.agenda.remove(&(at, id, kind));
             due.push((id, kind));
         }
-        // Process in the scan order (VM id major, notice before revoke) so
-        // both poll implementations emit bit-identical event sequences.
+        // Process in the scan order (VM id major, notice before revoke), so
+        // the events match the tests' reference scan bit for bit.
         due.sort_unstable();
         let mut events = Vec::new();
         for (id, kind) in due {
@@ -314,49 +314,6 @@ impl CloudProvider {
                     self.ledger.push(record);
                     events.push(CloudEvent::Revoked { vm: id, at: revoke_at });
                 }
-            }
-        }
-        events
-    }
-
-    /// The original polling implementation: visit every VM ever created, in
-    /// id order, and fire whatever is due. Produces exactly the same event
-    /// sequences as [`Self::poll`]; retained as the measured baseline of
-    /// the tick-driven reference drive (its per-poll cost grows with the
-    /// total VM count, which is precisely what the agenda removes).
-    pub fn poll_scan(&mut self, t: SimTime) -> Vec<CloudEvent> {
-        let mut events = Vec::new();
-        // BTreeMap keys come out already in id order (D2: no hash-order
-        // iteration in determinism-critical crates).
-        let ids: Vec<VmId> = self.vms.keys().copied().collect();
-        for id in ids {
-            let vm = self.vms.get_mut(&id).expect("vm exists");
-            if !vm.is_alive() {
-                continue;
-            }
-            let Some(revoke_at) = vm.revoke_at else { continue };
-            // Per-VM lead: a fault plan may have shrunk this VM's warning.
-            let lead = vm.notice_lead;
-            let grace = revoke_at - t;
-            if !vm.notice_sent && t >= revoke_at.saturating_sub(lead) && t < revoke_at {
-                vm.notice_sent = true;
-                vm.state = VmState::Notified { revoke_at };
-                self.agenda
-                    .remove(&(revoke_at.saturating_sub(lead), id, PendingKind::Notice));
-                events.push(CloudEvent::RevocationNotice { vm: id, revoke_at, grace });
-            }
-            if t >= revoke_at {
-                if !vm.notice_sent {
-                    vm.notice_sent = true;
-                    self.agenda
-                        .remove(&(revoke_at.saturating_sub(lead), id, PendingKind::Notice));
-                    events.push(CloudEvent::RevocationNotice { vm: id, revoke_at, grace });
-                }
-                vm.state = VmState::Revoked { at: revoke_at };
-                self.agenda.remove(&(revoke_at, id, PendingKind::Revoke));
-                let record = self.settle_vm(id, revoke_at, EndCause::ProviderRevoked);
-                self.ledger.push(record);
-                events.push(CloudEvent::Revoked { vm: id, at: revoke_at });
             }
         }
         events
@@ -491,6 +448,44 @@ mod tests {
 
     fn provider() -> CloudProvider {
         CloudProvider::new(spike_pool()).with_launch_delay(SimDur::ZERO)
+    }
+
+    /// The original polling implementation, kept as the agenda's
+    /// reference: visit every VM ever created, in id order, and fire
+    /// whatever is due. Its per-poll cost grows with the total VM count,
+    /// which is what the agenda removes.
+    fn poll_scan(p: &mut CloudProvider, t: SimTime) -> Vec<CloudEvent> {
+        let mut events = Vec::new();
+        let ids: Vec<VmId> = p.vms.keys().copied().collect();
+        for id in ids {
+            let vm = p.vms.get_mut(&id).expect("vm exists");
+            if !vm.is_alive() {
+                continue;
+            }
+            let Some(revoke_at) = vm.revoke_at else { continue };
+            // Per-VM lead: a fault plan may have shrunk this VM's warning.
+            let lead = vm.notice_lead;
+            let grace = revoke_at - t;
+            if !vm.notice_sent && t >= revoke_at.saturating_sub(lead) && t < revoke_at {
+                vm.notice_sent = true;
+                vm.state = VmState::Notified { revoke_at };
+                p.agenda.remove(&(revoke_at.saturating_sub(lead), id, PendingKind::Notice));
+                events.push(CloudEvent::RevocationNotice { vm: id, revoke_at, grace });
+            }
+            if t >= revoke_at {
+                if !vm.notice_sent {
+                    vm.notice_sent = true;
+                    p.agenda.remove(&(revoke_at.saturating_sub(lead), id, PendingKind::Notice));
+                    events.push(CloudEvent::RevocationNotice { vm: id, revoke_at, grace });
+                }
+                vm.state = VmState::Revoked { at: revoke_at };
+                p.agenda.remove(&(revoke_at, id, PendingKind::Revoke));
+                let record = p.settle_vm(id, revoke_at, EndCause::ProviderRevoked);
+                p.ledger.push(record);
+                events.push(CloudEvent::Revoked { vm: id, at: revoke_at });
+            }
+        }
+        events
     }
 
     #[test]
@@ -747,7 +742,66 @@ mod tests {
         }
         for m in 0..240 {
             let t = SimTime::from_mins(m);
-            assert_eq!(a.poll(t), b.poll_scan(t), "diverged at minute {m}");
+            assert_eq!(a.poll(t), poll_scan(&mut b, t), "diverged at minute {m}");
+        }
+    }
+
+    /// Seeded random interleavings of spot and on-demand requests,
+    /// terminations, sub-poll notice deliveries and polls at arbitrary
+    /// second instants, under storms and off-grid notice leads: the agenda
+    /// and the reference scan fire the same events and bill the same
+    /// ledgers.
+    #[test]
+    fn poll_matches_poll_scan_on_random_interleavings() {
+        use spottune_market::seeding::hash_coords;
+        let end = SimTime::from_mins(240);
+        for case in 0..48u64 {
+            let plan = FaultPlan::new(case)
+                .with_periodic_storms(
+                    "t.spike",
+                    SimTime::from_mins(20 + case % 30),
+                    SimDur::from_mins(35),
+                    4,
+                )
+                .with_delayed_notices(0.5, SimDur::from_secs(1 + case % 37));
+            let build = || {
+                CloudProvider::new(spike_pool())
+                    .with_launch_delay(SimDur::from_secs(case % 3 * 15))
+                    .with_fault_plan(plan.clone())
+            };
+            let (mut agenda, mut scan) = (build(), build());
+            let mut t = SimTime::ZERO;
+            for op in 0..300u64 {
+                let draw = hash_coords(case, &[op]);
+                t += SimDur::from_secs(draw % 90);
+                if t >= end {
+                    break;
+                }
+                let pick = draw >> 16;
+                let at = format!("case {case} op {op} at {t:?}");
+                match (draw >> 8) % 8 {
+                    0 | 1 => {
+                        let bid = [0.2, 0.3, 10.0][(pick % 3) as usize];
+                        let a = agenda.request_spot(t, "t.spike", bid);
+                        assert_eq!(a, scan.request_spot(t, "t.spike", bid), "{at}");
+                    }
+                    2 => {
+                        let a = agenda.request_on_demand(t, "t.spike");
+                        assert_eq!(a, scan.request_on_demand(t, "t.spike"), "{at}");
+                    }
+                    3 => {
+                        let alive: Vec<VmId> =
+                            agenda.vms().filter(|v| v.is_alive()).map(Vm::id).collect();
+                        if let Some(&id) = alive.get(pick as usize % alive.len().max(1)) {
+                            assert_eq!(agenda.terminate(t, id), scan.terminate(t, id), "{at}");
+                        }
+                    }
+                    4 => assert_eq!(agenda.poll_notices(t), scan.poll_notices(t), "{at}"),
+                    _ => assert_eq!(agenda.poll(t), poll_scan(&mut scan, t), "{at}"),
+                }
+            }
+            assert_eq!(agenda.poll(end), poll_scan(&mut scan, end), "case {case} at the end");
+            assert_eq!(agenda.ledger().records(), scan.ledger().records(), "case {case}");
         }
     }
 

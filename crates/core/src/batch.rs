@@ -560,8 +560,7 @@ impl GroupSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::SingleSpotKind;
-    use crate::campaign::Approach;
+    use crate::campaign::{Approach, SingleSpotKind};
     use spottune_mlsim::Algorithm;
 
     fn tiny_workload() -> Workload {

@@ -19,7 +19,6 @@
 //! registered policy × estimator combination runs through the same
 //! cached, sharded pipeline.
 
-use crate::baseline::SingleSpotKind;
 use crate::config::SpotTuneConfig;
 use crate::engine::Engine;
 use crate::policy::{
@@ -29,7 +28,7 @@ use crate::policy::{
 use crate::provision::OracleEstimator;
 use crate::report::HptReport;
 use spottune_market::{
-    ConstantEstimator, EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator,
+    instance, ConstantEstimator, EstimatorSpec, MarketPool, MarketScenario, RevocationEstimator,
 };
 use spottune_mlsim::{CurveCache, Workload};
 use spottune_revpred::{PredictorCache, PredictorKind};
@@ -68,6 +67,47 @@ pub enum Approach {
         /// Early-shutdown rate.
         theta: f64,
     },
+}
+
+/// Which fixed instance type the Single-Spot and On-Demand baselines use.
+///
+/// "The baseline we compare SpotTune with is running HPT on a single spot
+/// instance. We assume the maximum price of each used single-spot instance
+/// is much higher than its market price such that it would not be revoked"
+/// (§IV.A.4). One VM per configuration, all of the same type, trained to
+/// the full `max_trial_steps` (θ = 1, no early shutdown).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SingleSpotKind {
+    /// Lowest on-demand price in the catalog: `r4.large`.
+    Cheapest,
+    /// Most vCPUs in the catalog: `m4.4xlarge`.
+    Fastest,
+}
+
+impl SingleSpotKind {
+    /// The concrete catalog instance name.
+    pub fn instance_name(self) -> &'static str {
+        match self {
+            SingleSpotKind::Cheapest => instance::CHEAPEST,
+            SingleSpotKind::Fastest => instance::FASTEST,
+        }
+    }
+
+    /// Approach label used in reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            SingleSpotKind::Cheapest => "Single-Spot Tune(Cheapest)",
+            SingleSpotKind::Fastest => "Single-Spot Tune(Fastest)",
+        }
+    }
+
+    /// Approach label of the on-demand variant.
+    pub fn on_demand_label(self) -> &'static str {
+        match self {
+            SingleSpotKind::Cheapest => "On-Demand Tune(Cheapest)",
+            SingleSpotKind::Fastest => "On-Demand Tune(Fastest)",
+        }
+    }
 }
 
 /// Revocations tolerated by [`Approach::Hybrid`] before it pins a
@@ -330,6 +370,14 @@ mod tests {
             seed: 5,
             estimator,
         }
+    }
+
+    #[test]
+    fn labels_and_instances() {
+        assert_eq!(SingleSpotKind::Cheapest.instance_name(), "r4.large");
+        assert_eq!(SingleSpotKind::Fastest.instance_name(), "m4.4xlarge");
+        assert!(SingleSpotKind::Fastest.label().contains("Fastest"));
+        assert!(SingleSpotKind::Cheapest.on_demand_label().contains("On-Demand"));
     }
 
     #[test]

@@ -2,24 +2,6 @@
 
 use spottune_market::{SimDur, SimTime};
 
-/// How the orchestrator advances simulated time through Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DriveMode {
-    /// Faithful fixed-interval polling: one full loop body every
-    /// `poll_interval` (the paper's literal 10-second loop). Retained as
-    /// the reference semantics.
-    Tick,
-    /// Next-event time advance: compute the next tick at which anything can
-    /// change (step completion, notice, revocation, recycle deadline,
-    /// restore finishing, deploy retry) and jump straight there, advancing
-    /// job progress by whole-tick arithmetic. Produces bit-identical
-    /// reports and trace-event sequences to [`DriveMode::Tick`] (locked in
-    /// by the `tick_event_equivalence` tests) at a small fraction of the
-    /// cost.
-    #[default]
-    Event,
-}
-
 /// Configuration of one SpotTune HPT campaign.
 ///
 /// The four user-specified parameters of Table I are `metric` (carried by
@@ -48,9 +30,6 @@ pub struct SpotTuneConfig {
     pub start: SimTime,
     /// Master seed (per-configuration seeds derive from it).
     pub seed: u64,
-    /// Time-advance strategy (event-driven by default; `Tick` is the
-    /// polling reference used by the equivalence tests).
-    pub drive_mode: DriveMode,
 }
 
 impl Default for SpotTuneConfig {
@@ -67,7 +46,6 @@ impl Default for SpotTuneConfig {
             // demand peaks that drive spot-market bid wars (and refunds).
             start: SimTime::from_hours(10),
             seed: 42,
-            drive_mode: DriveMode::default(),
         }
     }
 }
@@ -87,12 +65,6 @@ impl SpotTuneConfig {
     /// Builder-style seed override.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style drive-mode override.
-    pub fn with_drive_mode(mut self, mode: DriveMode) -> Self {
-        self.drive_mode = mode;
         self
     }
 

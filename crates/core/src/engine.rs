@@ -15,19 +15,20 @@
 //!   harvesting the first-hour refund opportunity). EarlyCurve then
 //!   predicts every configuration's final metric and the top-`mcnt`
 //!   continue from their checkpoints to full training (Algorithm 1 lines
-//!   48–53). Time advances in one of two equivalent ways (see
-//!   [`DriveMode`]): the paper's literal 10-second polling loop, or — the
-//!   default — next-event jumps that visit only the grid ticks at which
-//!   something can happen. Both run the same per-tick body at the same
-//!   instants, so reports and trace-event sequences are bit-identical.
+//!   48–53). The loop polls every 10 seconds; the engine runs it as a
+//!   next-event drive that jumps straight to the grid ticks at which
+//!   something can happen and credits the quiet ticks in between in one
+//!   integer addition. The crate's unit tests check it against itself
+//!   stepped one tick at a time (the `oracle` test module): reports and
+//!   trace-event sequences must be bit-identical.
 //! * **Dedicated** ([`PolicyMode::Dedicated`]) — the baselines' execution
 //!   model: one never-revoked VM per configuration, trained start-to-finish
 //!   with θ = 1 semantics (predictions are the observed finals). Kept
-//!   bit-identical to the closed-form reference implementations in
-//!   [`crate::baseline`] by the `policy_equivalence` tests.
+//!   bit-identical to the closed-form baselines in the `policy_equivalence`
+//!   tests.
 
 use crate::arena::EngineScratch;
-use crate::config::{DriveMode, SpotTuneConfig};
+use crate::config::SpotTuneConfig;
 use crate::job::{FinishReason, Job};
 use crate::perfmatrix::PerfMatrix;
 use crate::policy::{
@@ -109,6 +110,10 @@ pub struct Engine {
     /// [`compute_spe_means`] for this engine's pool and workload), shared
     /// across a scenario group by the batch runner.
     spe_means: Option<Arc<SpeTable>>,
+    /// The tests' reference: [`Self::next_event_tick`] returns the next
+    /// grid tick, so the drive visits every tick of the 10-second loop.
+    #[cfg(test)]
+    pub(crate) every_tick: bool,
 }
 
 impl Engine {
@@ -124,6 +129,8 @@ impl Engine {
             fault_plan: None,
             spine: None,
             spe_means: None,
+            #[cfg(test)]
+            every_tick: false,
         }
     }
 
@@ -217,10 +224,10 @@ impl Engine {
     /// by the policy, trained start-to-finish (the Single-Spot/On-Demand
     /// baseline execution model — θ = 1, no checkpoints, no recycling).
     ///
-    /// Kept bit-identical to [`crate::baseline::run_single_spot_with_cache`]
-    /// and [`crate::baseline::run_on_demand_with_cache`]: the same
-    /// [`DEDICATED_SALT`] seeds the step-time stream, and policies whose
-    /// placements match the closed forms reproduce their reports exactly.
+    /// Kept bit-identical to the closed-form Single-Spot and On-Demand
+    /// baselines of the `policy_equivalence` tests: [`DEDICATED_SALT`]
+    /// seeds the step-time stream, and policies whose placements match the
+    /// closed forms reproduce their reports exactly.
     fn run_dedicated(
         &self,
         policy: &mut dyn ProvisionPolicy,
@@ -325,39 +332,15 @@ impl Engine {
         report
     }
 
-    /// The Algorithm-1 loop; returns the time when every job in the current
-    /// phase has finished. Dispatches on the configured [`DriveMode`]: both
-    /// strategies execute the identical per-tick body
-    /// ([`Self::process_tick`]) at the identical grid instants — the
-    /// event-driven drive merely skips the ticks at which nothing can
-    /// happen.
+    /// The Algorithm-1 loop (line 45 polls every `poll_interval`, 10
+    /// seconds); returns the time when every job in the current phase has
+    /// finished. Time advances by next-event jumps to the next grid tick at
+    /// which anything can change. Ticks in between only accumulate linear
+    /// progress on running jobs, which is applied in one whole-tick
+    /// addition (`step_ticks += n`) — integer arithmetic, so the jump is
+    /// bit-identical to polling through the same ticks.
     #[allow(clippy::too_many_arguments)]
     fn drive(
-        &self,
-        jobs: &mut [Job],
-        t: SimTime,
-        provider: &mut CloudProvider,
-        store: &mut ObjectStore,
-        matrix: &mut PerfMatrix,
-        policy: &mut dyn ProvisionPolicy,
-        rng: &mut StdRng,
-        events: &mut Vec<TraceEvent>,
-        spe_means: &[(String, Vec<f64>)],
-    ) -> SimTime {
-        match self.config.drive_mode {
-            DriveMode::Tick => {
-                self.drive_tick(jobs, t, provider, store, matrix, policy, rng, events, spe_means)
-            }
-            DriveMode::Event => {
-                self.drive_event(jobs, t, provider, store, matrix, policy, rng, events, spe_means)
-            }
-        }
-    }
-
-    /// Reference implementation: poll every `poll_interval` (Algorithm 1
-    /// line 45 — 10 seconds).
-    #[allow(clippy::too_many_arguments)]
-    fn drive_tick(
         &self,
         jobs: &mut [Job],
         mut t: SimTime,
@@ -372,34 +355,6 @@ impl Engine {
         let poll = self.config.poll_interval;
         // Hard stop: ten simulated weeks — catches scheduling deadlocks in
         // tests rather than hanging.
-        let deadline = t + SimDur::from_hours(24 * 70);
-        while jobs.iter().any(Job::is_active) {
-            assert!(t < deadline, "engine made no progress before deadline");
-            t += poll;
-            self.process_tick(jobs, t, provider, store, matrix, policy, rng, events, spe_means, false);
-        }
-        t
-    }
-
-    /// Next-event time advance: jump directly to the next grid tick at
-    /// which anything can change. Ticks in between only accumulate linear
-    /// progress on running jobs, which is applied in one whole-tick
-    /// addition (`step_ticks += n`) — integer arithmetic, so the fast path
-    /// is bit-identical to polling through the same ticks.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_event(
-        &self,
-        jobs: &mut [Job],
-        mut t: SimTime,
-        provider: &mut CloudProvider,
-        store: &mut ObjectStore,
-        matrix: &mut PerfMatrix,
-        policy: &mut dyn ProvisionPolicy,
-        rng: &mut StdRng,
-        events: &mut Vec<TraceEvent>,
-        spe_means: &[(String, Vec<f64>)],
-    ) -> SimTime {
-        let poll = self.config.poll_interval;
         let deadline = t + SimDur::from_hours(24 * 70);
         while jobs.iter().any(Job::is_active) {
             assert!(t < deadline, "engine made no progress before deadline");
@@ -436,12 +391,10 @@ impl Engine {
             // lands on the revocation tick itself, grace zero). Deliver
             // it at its true instant instead. Grid-aligned notices have
             // `at == t_next` (the agenda entry is a `next_event_tick`
-            // candidate) and keep flowing through the regular tick body,
-            // which is what keeps this drive bit-identical to the tick
-            // drive whenever leads land on the grid. Safe mid-span: grid
-            // ticks in (t, t_next) all precede the notice instant, so the
-            // quiet-span accumulation above already credited every tick
-            // the job ran before it halts here.
+            // candidate) and keep flowing through the regular tick body.
+            // Safe mid-span: grid ticks in (t, t_next) all precede the
+            // notice instant, so the quiet-span accumulation above already
+            // credited every tick the job ran before it halts here.
             while let Some(at) = provider.next_notice_at() {
                 if at <= t || at >= t_next {
                     break;
@@ -453,7 +406,7 @@ impl Engine {
                 }
             }
             t = t_next;
-            self.process_tick(jobs, t, provider, store, matrix, policy, rng, events, spe_means, true);
+            self.process_tick(jobs, t, provider, store, matrix, policy, rng, events, spe_means);
         }
         t
     }
@@ -466,6 +419,10 @@ impl Engine {
     fn next_event_tick(&self, jobs: &[Job], t: SimTime, provider: &CloudProvider) -> SimTime {
         let poll = self.config.poll_interval;
         let floor = t + poll;
+        #[cfg(test)]
+        if self.every_tick {
+            return floor;
+        }
         let mut next: Option<SimTime> = None;
         let mut consider = |cand: SimTime| {
             let c = cand.max(floor);
@@ -507,8 +464,9 @@ impl Engine {
     /// Grid tick at which the in-flight step of `job` completes, given the
     /// job accumulates one poll interval per tick from `t` on: the smallest
     /// `n ≥ 1` with `carry + (ticks + n)·poll ≥ spe`. The f64 estimate is
-    /// corrected against the exact tick-loop predicate (monotone in `n`)
-    /// to rule out rounding disagreements with the reference drive.
+    /// corrected against the exact per-tick predicate of
+    /// [`Self::process_tick`] (monotone in `n`) to rule out rounding
+    /// disagreements with stepping tick by tick.
     fn step_completion_tick(&self, job: &Job, spe: f64, t: SimTime) -> SimTime {
         let poll = self.config.poll_interval;
         let poll_secs = poll.as_secs_f64();
@@ -541,16 +499,13 @@ impl Engine {
     }
 
     /// One full iteration of the Algorithm-1 loop body at tick `t`: cloud
-    /// events, job progress, proactive recycling, (re)deployment. Shared
-    /// between the tick-driven and event-driven drives.
+    /// events, job progress, proactive recycling, (re)deployment.
     ///
-    /// With `short_circuit` set (the event drive), a running job whose
-    /// in-flight step cannot complete at this tick is advanced without
-    /// touching its VM's instance or entering the step loop — a pure
-    /// skip of work that would change no state, so both settings evolve
-    /// the simulation identically. The reference tick drive passes `false`
-    /// and pays the seed implementation's full per-tick cost, which is
-    /// exactly the baseline the event drive is benchmarked against.
+    /// A running job whose in-flight step cannot complete at this tick is
+    /// advanced without touching its VM or entering the step loop, and a
+    /// job short of its recycle tick skips the one-hour check. The
+    /// `debug_assert!`s state why those skips change nothing: they are the
+    /// predicates the literal loop body would have evaluated.
     #[allow(clippy::too_many_arguments)]
     fn process_tick(
         &self,
@@ -563,21 +518,12 @@ impl Engine {
         rng: &mut StdRng,
         events: &mut Vec<TraceEvent>,
         spe_means: &[(String, Vec<f64>)],
-        short_circuit: bool,
     ) {
         let poll = self.config.poll_interval;
         let poll_secs = poll.as_secs_f64();
         {
-            // (1) Cloud events: notices and revocations. The reference
-            // drive polls the way the original implementation did — a scan
-            // over every VM — while the event drive reads the agenda; both
-            // return identical event sequences.
-            let cloud_events = if short_circuit {
-                provider.poll(t)
-            } else {
-                provider.poll_scan(t)
-            };
-            for event in cloud_events {
+            // (1) Cloud events: notices and revocations.
+            for event in provider.poll(t) {
                 match event {
                     CloudEvent::RevocationNotice { vm, grace, .. } => {
                         self.handle_notice(jobs, vm, grace, t, provider, store, policy, events);
@@ -616,35 +562,26 @@ impl Engine {
                     continue;
                 }
                 let Some(vm_id) = job.assigned else { continue };
-                let vm = if short_circuit {
-                    // Event drive: gate on the cached grid candidates (an
-                    // assigned VM is always alive at a visited tick after
-                    // stage 1, and `t < ready_tick ⟺ t < exec_ready_at`
-                    // on the grid), and short-circuit entirely — without
-                    // touching the VM — when the in-flight step cannot
-                    // complete this tick. Pure skips of no-op work, so both
-                    // settings evolve the simulation identically.
-                    if t < job.ready_tick {
+                // An assigned VM is alive at a visited tick: stage 1 has
+                // settled every revocation due by `t`.
+                debug_assert!(
+                    provider.vm(vm_id).is_some_and(spottune_cloud::Vm::is_alive),
+                    "assigned vm must be alive at a visited tick"
+                );
+                // On the grid, `t < ready_tick ⟺ t < exec_ready_at`.
+                let waiting = t < job.ready_tick;
+                debug_assert_eq!(waiting, t < job.exec_ready_at, "ready gate off the restore end");
+                if waiting {
+                    continue;
+                }
+                job.step_ticks += 1;
+                job.train_time += poll;
+                if let Some(spe) = job.current_spe {
+                    if job.step_carry + job.step_ticks as f64 * poll_secs < spe {
                         continue;
                     }
-                    job.step_ticks += 1;
-                    job.train_time += poll;
-                    if let Some(spe) = job.current_spe {
-                        if job.step_carry + job.step_ticks as f64 * poll_secs < spe {
-                            continue;
-                        }
-                    }
-                    provider.vm(vm_id).expect("assigned vm exists")
-                } else {
-                    // Reference drive: the original per-tick body.
-                    let vm = provider.vm(vm_id).expect("assigned vm exists");
-                    if !vm.is_alive() || t < job.exec_ready_at {
-                        continue;
-                    }
-                    job.step_ticks += 1;
-                    job.train_time += poll;
-                    vm
-                };
+                }
+                let vm = provider.vm(vm_id).expect("assigned vm exists");
                 let inst = vm.instance().clone();
                 loop {
                     let spe = *job.current_spe.get_or_insert_with(|| {
@@ -692,10 +629,8 @@ impl Engine {
                         break;
                     }
                 }
-                // Maintain the cached step-completion candidate (only the
-                // event drive reads it; the reference drive stays cost-
-                // faithful to the original loop and skips the upkeep).
-                if short_circuit && job.finished.is_none() {
+                // Maintain the cached step-completion candidate.
+                if job.finished.is_none() {
                     if let Some(spe) = job.current_spe {
                         job.step_complete_tick = self.step_completion_tick(job, spe, t);
                     }
@@ -710,9 +645,15 @@ impl Engine {
                     continue;
                 }
                 let Some(vm_id) = job.assigned else { continue };
-                // Event drive: `t < recycle_tick ⟺ the strict one-hour
-                // comparison below is false`, so skip without the lookup.
-                if short_circuit && t < job.recycle_tick {
+                // `t < recycle_tick ⟺ the strict one-hour comparison below
+                // is false`, so skip without the lookup.
+                if t < job.recycle_tick {
+                    debug_assert!(
+                        provider.vm(vm_id).is_some_and(|vm| {
+                            t.since(vm.launched_at()) <= self.config.reschedule_after
+                        }),
+                        "a job short of its recycle tick is at most one hour old"
+                    );
                     continue;
                 }
                 let vm = provider.vm(vm_id).expect("assigned vm exists");
@@ -800,7 +741,7 @@ impl Engine {
     /// Under the default two-minute notice every model fits whole
     /// (`frac ≥ 1`); fault-delayed notices shrink the window and force the
     /// policy to choose between a truncated partial capture and abandoning
-    /// the upload. Shared between the grid-tick poll and the event drive's
+    /// the upload. Shared between the grid-tick poll and the drive's
     /// sub-poll true-instant delivery.
     #[allow(clippy::too_many_arguments)]
     fn handle_notice(
@@ -890,7 +831,7 @@ impl Engine {
     }
 
     /// Executes one placement decision for a waiting job: request the VM,
-    /// account restore/warmup, cache the event-drive tick candidates, and
+    /// account restore/warmup, cache the drive's tick candidates, and
     /// emit the `Deployed` event. Returns `false` when a spot request
     /// failed because the price moved above the offer (the job stays
     /// waiting and retries next poll).
@@ -1189,15 +1130,16 @@ fn sum_dur(durs: impl Iterator<Item = SimDur>) -> SimDur {
 /// pre-policy-layer orchestrator so reports stay bit-identical).
 const ORCH_SALT: u64 = 0x0c_5a17;
 
-/// Seed salt for the dedicated drive's step-time RNG. Must match the salt
-/// in [`crate::baseline`]'s closed-form references — the policy-layer
-/// equivalence tests compare the two paths report-for-report.
-pub(crate) const DEDICATED_SALT: u64 = 0xba5e;
+/// Seed salt for the dedicated drive's step-time RNG. The closed-form
+/// baselines of the `policy_equivalence` tests use the same salt and
+/// compare report for report.
+const DEDICATED_SALT: u64 = 0xba5e;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::SpotTuneTheta;
+    use crate::campaign::SingleSpotKind;
+    use crate::policy::{OnDemand, SingleSpot, SpotTuneTheta};
     use crate::provision::OracleEstimator;
     use spottune_mlsim::Algorithm;
 
@@ -1258,5 +1200,56 @@ mod tests {
     fn label_comes_from_the_policy() {
         let report = run_spottune(SpotTuneConfig::new(0.7, 1).with_seed(3));
         assert_eq!(report.approach, "SpotTune(θ=0.7)");
+    }
+
+    /// A dedicated baseline on a four-configuration, 40-step LoR slice of
+    /// the 10-day standard pool, submitted at 02:00.
+    fn dedicated_baseline(policy: &mut dyn ProvisionPolicy) -> HptReport {
+        let base = Workload::benchmark(Algorithm::LoR);
+        let w = Workload::custom(Algorithm::LoR, 40, base.hp_grid()[..4].to_vec());
+        let pool = MarketPool::standard(SimDur::from_days(10), 42);
+        let cfg = SpotTuneConfig {
+            start: SimTime::from_hours(2),
+            ..SpotTuneConfig::new(1.0, 3).with_seed(1)
+        };
+        Engine::new(cfg, w, pool).run(policy)
+    }
+
+    #[test]
+    fn baseline_never_gets_refunds() {
+        let r = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
+        assert_eq!(r.refunded, 0.0);
+        assert_eq!(r.free_steps, 0);
+        assert_eq!(r.charged_steps, 4 * 40);
+        assert!(r.cost > 0.0);
+        // θ=1 semantics: predictions are the actual finals.
+        assert!(r.top1_hit());
+        assert!(r.top3_hit());
+    }
+
+    #[test]
+    fn fastest_beats_cheapest_on_jct_but_not_cost() {
+        let cheap = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
+        let fast = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Fastest));
+        assert!(fast.jct < cheap.jct, "fast {} cheap {}", fast.jct, cheap.jct);
+        assert!(fast.cost > cheap.cost, "fast {} cheap {}", fast.cost, cheap.cost);
+    }
+
+    #[test]
+    fn on_demand_matches_single_spot_wall_clock_at_fixed_price() {
+        let spot = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
+        let od = dedicated_baseline(&mut OnDemand::new(SingleSpotKind::Cheapest));
+        // Same instance, same step-time stream (same salt): identical JCT.
+        assert_eq!(od.jct, spot.jct);
+        assert_eq!(od.train_time, spot.train_time);
+        // But billed at the fixed on-demand rate with no refund exposure.
+        assert!(od.cost > 0.0);
+        assert_eq!(od.refunded, 0.0);
+        assert_eq!(od.free_steps, 0);
+        assert_eq!(od.revocations, 0);
+        assert!(od.approach.contains("On-Demand"));
+        // θ=1 semantics carry over: predictions are the actual finals.
+        assert_eq!(od.predicted_finals, spot.predicted_finals);
+        assert!(od.top1_hit());
     }
 }

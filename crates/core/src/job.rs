@@ -45,8 +45,8 @@ pub struct Job {
     pub assigned: Option<VmId>,
     /// Instant the current VM finishes restore and can execute.
     pub exec_ready_at: SimTime,
-    /// Cached event candidates for the event-driven drive (absolute grid
-    /// ticks, maintained by the orchestrator; meaningless while
+    /// Cached event candidates for the engine's next-event drive (absolute
+    /// grid ticks, maintained by the engine; meaningless while
     /// unassigned). `ready_tick`: first tick at/after `exec_ready_at`;
     /// `recycle_tick`: first tick strictly past the one-hour recycle
     /// threshold; `step_complete_tick`: tick the in-flight step finishes
@@ -68,8 +68,8 @@ pub struct Job {
     /// Whole poll intervals accumulated toward the in-flight step. Progress
     /// is `step_carry + step_ticks × poll`; counting ticks as an integer
     /// (instead of accumulating an `f64`) makes "advance by n quiet ticks"
-    /// exactly associative, so the event-driven drive reproduces the tick
-    /// loop bit-for-bit.
+    /// exactly associative, so jumping over quiet ticks reproduces
+    /// stepping through them bit-for-bit.
     pub step_ticks: u64,
     /// Fractional seconds carried into the in-flight step from the instant
     /// the previous step completed mid-tick.

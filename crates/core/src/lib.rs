@@ -2,10 +2,10 @@
 //!
 //! The SpotTune campaign engine and its pluggable policy layer. The
 //! [`engine::Engine`] owns the mechanics of paper Algorithm 1 — the
-//! 10-second scheduling loop (or its bit-identical next-event drive),
-//! checkpoint-on-notice, one-hour proactive recycling for refund
-//! harvesting, EarlyCurve-based early shutdown and top-`mcnt` continuation
-//! — and consults a [`policy::ProvisionPolicy`] at every decision point.
+//! 10-second scheduling loop (run as jumps between the ticks at which
+//! something happens), checkpoint-on-notice, one-hour proactive recycling
+//! for refund harvesting, EarlyCurve-based early shutdown and top-`mcnt`
+//! continuation — and consults a [`policy::ProvisionPolicy`] at every decision point.
 //! The paper's approaches and related-work strategies are policy impls:
 //! [`policy::SpotTuneTheta`] (fine-grained cost-aware provisioning, Eq.
 //! 1–2), [`policy::SingleSpot`] / [`policy::OnDemand`] (the baselines),
@@ -38,13 +38,14 @@
 //! ```
 
 pub mod arena;
-pub mod baseline;
 pub mod batch;
 pub mod campaign;
 pub mod config;
 pub mod engine;
 pub mod job;
 pub mod migration;
+#[cfg(test)]
+mod oracle;
 pub mod perfmatrix;
 pub mod policy;
 pub mod provision;
@@ -52,14 +53,10 @@ pub mod report;
 pub mod soa;
 pub mod wire;
 
-pub use baseline::{
-    run_on_demand, run_on_demand_with_cache, run_single_spot, run_single_spot_with_cache,
-    SingleSpotKind,
-};
 pub use arena::{EngineScratch, JobArena};
 pub use batch::{BatchRunner, BatchStats, CohortPlan, GroupSession};
-pub use campaign::{Approach, CampaignRequest, CampaignResponse};
-pub use config::{DriveMode, SpotTuneConfig};
+pub use campaign::{Approach, CampaignRequest, CampaignResponse, SingleSpotKind};
+pub use config::SpotTuneConfig;
 pub use engine::{Engine, TraceEvent};
 pub use migration::{assignment_cost, greedy_assignment, min_cost_assignment};
 pub use perfmatrix::PerfMatrix;
@@ -73,14 +70,10 @@ pub use soa::{JobLanes, COHORT_WIDTH};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::baseline::{
-        run_on_demand, run_on_demand_with_cache, run_single_spot, run_single_spot_with_cache,
-        SingleSpotKind,
-    };
     pub use crate::arena::{EngineScratch, JobArena};
     pub use crate::batch::{BatchRunner, BatchStats, CohortPlan, GroupSession};
-    pub use crate::campaign::{Approach, CampaignRequest, CampaignResponse};
-    pub use crate::config::{DriveMode, SpotTuneConfig};
+    pub use crate::campaign::{Approach, CampaignRequest, CampaignResponse, SingleSpotKind};
+    pub use crate::config::SpotTuneConfig;
     pub use crate::engine::{Engine, TraceEvent};
     pub use crate::job::{FinishReason, Job};
     pub use crate::migration::{assignment_cost, greedy_assignment, min_cost_assignment};

@@ -88,7 +88,7 @@
 //! assert_eq!(report.approach, "CheapestDoubleBid");
 //! ```
 
-use crate::baseline::SingleSpotKind;
+use crate::campaign::SingleSpotKind;
 use crate::migration::{greedy_assignment, min_cost_assignment};
 use crate::perfmatrix::PerfMatrix;
 use crate::provision::{InstChoice, Provisioner, REWORK_SECS};

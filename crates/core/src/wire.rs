@@ -28,8 +28,9 @@
 //!   campaigns) encode as `null`, keeping the output parseable and making
 //!   the decode fail loudly on the offending field.
 
-use crate::baseline::SingleSpotKind;
-use crate::campaign::{Approach, CampaignRequest, CampaignResponse, DEFAULT_HYBRID_STRIKES};
+use crate::campaign::{
+    Approach, CampaignRequest, CampaignResponse, SingleSpotKind, DEFAULT_HYBRID_STRIKES,
+};
 use crate::report::HptReport;
 use spottune_market::{EstimatorSpec, MarketScenario, SimDur};
 use spottune_mlsim::{Algorithm, HpSetting, HpValue, Workload};

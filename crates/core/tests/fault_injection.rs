@@ -1,7 +1,9 @@
 //! Fault-injection harness acceptance: seeded fault plans are
-//! deterministic (same seed → bit-identical campaigns), both drives agree
-//! under faults, and every registered policy survives a correlated
-//! revocation storm with a coherent report.
+//! deterministic (same seed → bit-identical campaigns), sub-poll notices
+//! keep their grace window, and every registered policy survives a
+//! correlated revocation storm with a coherent report. The engine's drive
+//! is checked against itself stepped every tick, under these same plans,
+//! in `spottune-core`'s `oracle` unit tests.
 
 use spottune_cloud::FaultPlan;
 use spottune_core::policy::SpotTuneTheta;
@@ -30,9 +32,8 @@ fn run_spottune(
     pool: &MarketPool,
     oracle: &dyn RevocationEstimator,
     plan: &FaultPlan,
-    mode: DriveMode,
 ) -> (HptReport, Vec<TraceEvent>) {
-    let cfg = SpotTuneConfig::new(0.7, 2).with_seed(9).with_drive_mode(mode);
+    let cfg = SpotTuneConfig::new(0.7, 2).with_seed(9);
     let mut policy = SpotTuneTheta::new(oracle, cfg.delta_range, 0.7);
     Engine::new(cfg, tiny(25), pool.clone())
         .with_fault_plan(plan.clone())
@@ -44,8 +45,8 @@ fn same_fault_seed_replays_bit_identically() {
     let pool = MarketPool::standard(SimDur::from_days(2), 42);
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let plan = stormy_plan(&pool);
-    let (report_a, events_a) = run_spottune(&pool, &oracle, &plan, DriveMode::Event);
-    let (report_b, events_b) = run_spottune(&pool, &oracle, &plan, DriveMode::Event);
+    let (report_a, events_a) = run_spottune(&pool, &oracle, &plan);
+    let (report_b, events_b) = run_spottune(&pool, &oracle, &plan);
     assert_eq!(events_a, events_b, "same fault seed must replay the same timeline");
     assert_eq!(report_a, report_b, "same fault seed must replay the same report");
     // A different fault seed steers the campaign elsewhere (the plan is
@@ -59,19 +60,8 @@ fn same_fault_seed_replays_bit_identically() {
         )
         .with_delayed_notices(0.33, SimDur::from_secs(20))
         .with_checkpoint_failures(0.1);
-    let (report_c, _) = run_spottune(&pool, &oracle, &reseeded, DriveMode::Event);
+    let (report_c, _) = run_spottune(&pool, &oracle, &reseeded);
     assert_ne!(report_a, report_c, "the fault seed must matter");
-}
-
-#[test]
-fn tick_and_event_drives_agree_under_faults() {
-    let pool = MarketPool::standard(SimDur::from_days(2), 42);
-    let oracle = OracleEstimator::new(pool.clone(), 0.9);
-    let plan = stormy_plan(&pool);
-    let (tick_report, tick_events) = run_spottune(&pool, &oracle, &plan, DriveMode::Tick);
-    let (event_report, event_events) = run_spottune(&pool, &oracle, &plan, DriveMode::Event);
-    assert_eq!(tick_events, event_events, "drives diverged under faults");
-    assert_eq!(tick_report, event_report, "reports diverged under faults");
 }
 
 #[test]
@@ -79,7 +69,7 @@ fn storms_revoke_and_campaigns_still_account_coherently() {
     let pool = MarketPool::standard(SimDur::from_days(2), 42);
     let oracle = OracleEstimator::new(pool.clone(), 0.9);
     let plan = stormy_plan(&pool);
-    let (with_faults, _) = run_spottune(&pool, &oracle, &plan, DriveMode::Event);
+    let (with_faults, _) = run_spottune(&pool, &oracle, &plan);
     let cfg = SpotTuneConfig::new(0.7, 2).with_seed(9);
     let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, 0.7);
     let fault_free = Engine::new(cfg, tiny(25), pool.clone()).run(&mut policy);
@@ -99,10 +89,10 @@ fn storms_revoke_and_campaigns_still_account_coherently() {
 }
 
 /// A 1–9 s notice lead sits strictly inside the 10 s poll interval: on
-/// the grid the notice lands on the revocation tick itself and its grace
-/// collapses to zero, so the tick drive can never checkpoint ahead of the
-/// storm. The event drive delivers the notice at its true instant with
-/// the full sub-poll window — plenty for a 5 MB model at ~60 MB/s.
+/// the grid the notice would land on the revocation tick itself and its
+/// grace would collapse to zero. The engine delivers the notice at its
+/// true instant with the full sub-poll window — plenty for a 5 MB model at
+/// ~60 MB/s.
 #[test]
 fn sub_poll_notice_delivers_true_grace_in_event_mode() {
     let pool = MarketPool::standard(SimDur::from_days(2), 42);
@@ -111,27 +101,18 @@ fn sub_poll_notice_delivers_true_grace_in_event_mode() {
     let plan = FaultPlan::new(3)
         .with_periodic_storms(&market, SimTime::from_hours(11), SimDur::from_mins(40), 6)
         .with_delayed_notices(1.0, SimDur::from_secs(5));
-    let (_, tick_events) = run_spottune(&pool, &oracle, &plan, DriveMode::Tick);
-    let (event_report, event_events) = run_spottune(&pool, &oracle, &plan, DriveMode::Event);
-    assert!(event_report.revocations > 0, "the storm plan must actually revoke");
-    let notice_ckpts = |evs: &[TraceEvent]| {
-        evs.iter()
-            .filter_map(|e| match e {
-                TraceEvent::NoticeCheckpoint { at, .. } => Some(*at),
-                _ => None,
-            })
-            .collect::<Vec<_>>()
-    };
-    // Grace zero burns every window on the grid…
-    assert_eq!(
-        notice_ckpts(&tick_events),
-        vec![],
-        "a 5 s lead must collapse to zero grace on the 10 s grid"
-    );
-    // …while true-instant delivery captures full checkpoints, at instants
-    // that provably sit off the poll grid.
-    let captured = notice_ckpts(&event_events);
-    assert!(!captured.is_empty(), "event drive must checkpoint inside the 5 s window");
+    let (report, events) = run_spottune(&pool, &oracle, &plan);
+    assert!(report.revocations > 0, "the storm plan must actually revoke");
+    // True-instant delivery captures full checkpoints, at instants that
+    // provably sit off the poll grid.
+    let captured: Vec<SimTime> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::NoticeCheckpoint { at, .. } => Some(*at),
+            _ => None,
+        })
+        .collect();
+    assert!(!captured.is_empty(), "the engine must checkpoint inside the 5 s window");
     for at in &captured {
         assert_ne!(
             at.as_secs() % 10,
@@ -139,24 +120,6 @@ fn sub_poll_notice_delivers_true_grace_in_event_mode() {
             "sub-poll notices are delivered off the grid, got {at:?}"
         );
     }
-}
-
-/// The flip side of the sub-poll path: a lead that lands *on* the grid
-/// (one whole poll interval) takes the ordinary tick-body route in both
-/// drives, so tick and event stay bit-identical — sub-poll delivery only
-/// engages for instants the grid cannot represent.
-#[test]
-fn grid_aligned_delayed_notices_keep_drives_identical() {
-    let pool = MarketPool::standard(SimDur::from_days(2), 42);
-    let market = pool.iter().next().expect("non-empty pool").instance().name().to_string();
-    let oracle = OracleEstimator::new(pool.clone(), 0.9);
-    let plan = FaultPlan::new(3)
-        .with_periodic_storms(&market, SimTime::from_hours(11), SimDur::from_mins(40), 6)
-        .with_delayed_notices(1.0, SimDur::from_secs(10));
-    let (tick_report, tick_events) = run_spottune(&pool, &oracle, &plan, DriveMode::Tick);
-    let (event_report, event_events) = run_spottune(&pool, &oracle, &plan, DriveMode::Event);
-    assert_eq!(tick_events, event_events, "grid-aligned leads must not diverge");
-    assert_eq!(tick_report, event_report, "grid-aligned leads must not diverge");
 }
 
 /// CI `fault-smoke`: every registered policy terminates a small sweep

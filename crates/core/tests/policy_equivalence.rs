@@ -1,22 +1,112 @@
-//! Policy-layer lock-in (ISSUE 4 acceptance): re-expressing the paper's
-//! approaches as [`ProvisionPolicy`] impls must not move a single bit.
+//! Policy-layer lock-in: re-expressing the paper's approaches as
+//! [`ProvisionPolicy`] impls must not move a single bit.
 //!
 //! * `SingleSpot` and `OnDemand` run through the engine's dedicated drive
-//!   and are compared report-for-report against the closed-form reference
-//!   implementations retained in `spottune_core::baseline`.
-//! * `SpotTuneTheta` runs through the transient drive; the tick-loop
-//!   reference (`DriveMode::Tick`, the seed implementation's literal
-//!   10-second loop) must produce bit-identical reports *and* trace-event
-//!   sequences, and the request-level trunk
-//!   (`CampaignRequest::run_with_estimator`) must agree with the
-//!   engine+policy composition it wraps.
+//!   and are compared report-for-report against [`closed_form`], the
+//!   baselines written out directly.
+//! * A policy that leaves the grace-window hooks at their defaults
+//!   reproduces `SpotTuneTheta` bit for bit.
 //!
-//! Together the cases below cover 130 campaigns (≥ 100 required).
+//! `SpotTuneTheta` against the engine stepped every tick, and against the
+//! request trunk, is checked in `spottune-core`'s `oracle` unit tests.
+//! Together the cases below cover 120 campaigns (≥ 100 required).
 
 use rand::rngs::StdRng;
+use rand::SeedableRng;
+use spottune_cloud::CloudProvider;
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
+use spottune_mlsim::runner::ground_truth_finals_with_cache;
+
+/// Seed salt of the engine's dedicated drive (its step-time stream).
+const DEDICATED_SALT: u64 = 0xba5e;
+
+/// The Single-Spot (or, with `on_demand`, the On-Demand) baseline written
+/// out directly: one VM of `kind` per configuration, requested at `start`,
+/// bid far above the trace cap (or billed at the fixed on-demand price) so
+/// it is never revoked, trained to the full `max_trial_steps` with θ = 1
+/// semantics, the top three selected.
+///
+/// # Panics
+///
+/// Panics if the pool lacks the baseline's instance type.
+fn closed_form(
+    kind: SingleSpotKind,
+    on_demand: bool,
+    workload: &Workload,
+    pool: &MarketPool,
+    start: SimTime,
+    seed: u64,
+) -> HptReport {
+    let inst_name = kind.instance_name();
+    let market = pool
+        .market(inst_name)
+        .unwrap_or_else(|| panic!("pool lacks baseline instance {inst_name}"));
+    let inst = market.instance().clone();
+    let perf = PerfModel::new();
+    let curve_cache = CurveCache::global();
+    let mut provider = CloudProvider::new(pool.clone());
+    let mut rng = StdRng::seed_from_u64(seed ^ DEDICATED_SALT);
+    // The "never revoked" assumption: offer far above the trace cap.
+    let never = inst.on_demand_price() * 100.0;
+    let warmup = SimDur::from_secs(workload.restore_warmup_secs());
+
+    let mut end_latest = start;
+    let mut charged_steps = 0u64;
+    let mut train_time = SimDur::ZERO;
+    let mut finals = Vec::with_capacity(workload.hp_grid().len());
+    for hp in workload.hp_grid() {
+        let vm = if on_demand {
+            provider.request_on_demand(start, inst_name).expect("baseline instance in catalog")
+        } else {
+            provider.request_spot(start, inst_name, never).expect("baseline request accepted")
+        };
+        let launched = provider.vm(vm).expect("vm exists").launched_at();
+        // Run the configuration to completion, sampling per-step times.
+        let max = workload.max_trial_steps();
+        let mut busy = 0.0f64;
+        for _ in 0..max {
+            busy += perf.sample_spe(&inst, workload, hp, &mut rng);
+        }
+        finals.push(TrainingRun::with_cache(workload, hp, seed, &curve_cache).final_metric());
+        charged_steps += max;
+        let busy_dur = SimDur::from_secs(busy.ceil() as u64);
+        train_time += busy_dur;
+        let end = launched + warmup + busy_dur;
+        provider.terminate(end, vm);
+        end_latest = end_latest.max(end);
+    }
+
+    let ledger = provider.ledger();
+    let true_finals = ground_truth_finals_with_cache(workload, seed, &curve_cache);
+    let mut ranking: Vec<usize> = (0..finals.len()).collect();
+    ranking.sort_by(|&a, &b| finals[a].partial_cmp(&finals[b]).expect("finite"));
+    HptReport {
+        approach: if on_demand { kind.on_demand_label() } else { kind.label() }.to_string(),
+        workload: workload.algorithm().name().to_string(),
+        theta: 1.0,
+        cost: ledger.total_charged(),
+        refunded: ledger.total_refunded(),
+        gross: ledger.total_gross(),
+        jct: end_latest - start,
+        cost_with_continuation: ledger.total_charged(),
+        jct_with_continuation: end_latest - start,
+        train_time,
+        overhead_time: SimDur::from_secs(
+            workload.restore_warmup_secs() * workload.hp_grid().len() as u64,
+        ),
+        free_steps: 0,
+        charged_steps,
+        predicted_finals: finals,
+        true_finals,
+        selected: ranking.into_iter().take(3).collect(),
+        deployments: workload.hp_grid().len() as u64,
+        revocations: 0,
+        lost_steps: 0,
+        migrations: 0,
+    }
+}
 
 fn tiny(algorithm: Algorithm, steps: u64) -> Workload {
     let base = Workload::benchmark(algorithm);
@@ -47,7 +137,7 @@ fn single_spot_policy_is_bit_identical_to_closed_form() {
                 for (scenario, pool) in &pools {
                     let via_policy = request(Approach::SingleSpot(kind), workload, *scenario, seed)
                         .run_serial(pool, &CurveCache::global());
-                    let reference = run_single_spot(kind, workload, pool, start, seed);
+                    let reference = closed_form(kind, false, workload, pool, start, seed);
                     assert_eq!(
                         via_policy, reference,
                         "SingleSpot({kind:?}) seed={seed} diverged from the closed form"
@@ -73,7 +163,7 @@ fn on_demand_policy_is_bit_identical_to_closed_form() {
             for seed in 0..10u64 {
                 let via_policy = request(Approach::OnDemand(kind), workload, scenario, seed)
                     .run_serial(&pool, &CurveCache::global());
-                let reference = run_on_demand(kind, workload, &pool, start, seed);
+                let reference = closed_form(kind, true, workload, &pool, start, seed);
                 assert_eq!(
                     via_policy, reference,
                     "OnDemand({kind:?}) seed={seed} diverged from the closed form"
@@ -86,43 +176,6 @@ fn on_demand_policy_is_bit_identical_to_closed_form() {
         }
     }
     assert_eq!(campaigns, 40);
-}
-
-/// 10 campaigns: the SpotTuneTheta policy through both drives, plus the
-/// request-level trunk (`mcnt` 3, as `Approach` configures it), all
-/// bit-identical.
-#[test]
-fn spottune_policy_matches_tick_reference_and_facade() {
-    let scenario = MarketScenario::from_days(10, 42);
-    let pool = scenario.build();
-    let oracle = OracleEstimator::new(pool.clone(), 0.9);
-    let w = tiny(Algorithm::LoR, 30);
-    let mut campaigns = 0;
-    for theta in [0.5, 1.0] {
-        for seed in 0..5u64 {
-            let run_engine = |mode: DriveMode| {
-                let cfg = SpotTuneConfig::new(theta, 3).with_seed(seed).with_drive_mode(mode);
-                let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, theta);
-                Engine::new(cfg, w.clone(), pool.clone()).run_traced(&mut policy)
-            };
-            let (tick_report, tick_events) = run_engine(DriveMode::Tick);
-            let (event_report, event_events) = run_engine(DriveMode::Event);
-            assert_eq!(
-                tick_events, event_events,
-                "θ={theta} seed={seed}: trace events diverged across drives"
-            );
-            assert_eq!(
-                tick_report, event_report,
-                "θ={theta} seed={seed}: reports diverged across drives"
-            );
-            // The request trunk is exactly engine + SpotTuneTheta.
-            let facade = request(Approach::SpotTune { theta }, &w, scenario, seed)
-                .run_with_estimator(&pool, &CurveCache::global(), &oracle);
-            assert_eq!(facade, event_report, "θ={theta} seed={seed}: request trunk diverged");
-            campaigns += 1;
-        }
-    }
-    assert_eq!(campaigns, 10);
 }
 
 /// The two related-work policies complete campaigns through the same

@@ -38,6 +38,10 @@ use std::time::{Duration, Instant};
 /// How long a test waits before calling a wake-up or a disconnect lost.
 const LIVENESS: Duration = Duration::from_secs(5);
 
+/// How long a `RawConn` read blocks before it fails the test: a reply or
+/// an EOF that never comes fails the suite instead of hanging it.
+const PATIENCE: Duration = Duration::from_secs(30);
+
 /// Admission that never throttles: these tests target the queue.
 const UNTHROTTLED: AdmissionConfig =
     AdmissionConfig { burst: 1024, refill_per_sec: 0.0, staging_capacity: 256 };
@@ -73,6 +77,7 @@ impl RawConn {
     fn open(addr: SocketAddr) -> RawConn {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(PATIENCE)).expect("read timeout");
         RawConn { reader: BufReader::new(stream.try_clone().expect("clone")), writer: stream }
     }
 
@@ -91,14 +96,16 @@ impl RawConn {
         self.writer.write_all(format!("{line}\n").as_bytes()).expect("send");
     }
 
-    /// Reads exactly one server frame (blocks until it arrives).
+    /// Reads exactly one server frame (blocks until it arrives, at most
+    /// [`PATIENCE`]).
     fn recv(&mut self) -> ServerFrame {
         let mut line = String::new();
         assert!(self.reader.read_line(&mut line).expect("read frame") > 0, "unexpected EOF");
         wire::decode_server_frame(line.trim()).expect("decodable frame")
     }
 
-    /// Reads server frames until the server closes the connection.
+    /// Reads server frames until the server closes the connection (each
+    /// read waits at most [`PATIENCE`]).
     fn read_to_eof(mut self) -> Vec<ServerFrame> {
         drop(self.writer);
         let mut frames = Vec::new();

@@ -2,6 +2,7 @@
 //! simulated cloud, exercising the whole stack (markets → provider →
 //! engine → EarlyCurve selection → reports).
 
+use spottune::core::policy::SingleSpot;
 use spottune::prelude::*;
 
 fn small(alg: Algorithm, steps: u64, n: usize) -> Workload {
@@ -11,6 +12,19 @@ fn small(alg: Algorithm, steps: u64, n: usize) -> Workload {
 
 fn pool() -> MarketPool {
     MarketPool::standard(SimDur::from_days(10), 42)
+}
+
+/// A Single-Spot baseline submitted at `start`: an engine under
+/// [`SingleSpot`] (θ = 1, `mcnt` 3).
+fn single_spot(
+    kind: SingleSpotKind,
+    w: &Workload,
+    pool: &MarketPool,
+    start: SimTime,
+    seed: u64,
+) -> HptReport {
+    let cfg = SpotTuneConfig { start, ..SpotTuneConfig::new(1.0, 3).with_seed(seed) };
+    Engine::new(cfg, w.clone(), pool.clone()).run(&mut SingleSpot::new(kind))
 }
 
 /// The paper's SpotTune (Algorithm 1): an engine under [`SpotTuneTheta`].
@@ -43,7 +57,7 @@ fn billing_identity_holds_across_approaches() {
     let st = spottune(SpotTuneConfig::new(0.7, 2).with_seed(3), &w, &pool, &oracle);
     assert!((st.gross - st.cost - st.refunded).abs() < 1e-9);
     for kind in [SingleSpotKind::Cheapest, SingleSpotKind::Fastest] {
-        let b = run_single_spot(kind, &w, &pool, SimTime::from_hours(2), 3);
+        let b = single_spot(kind, &w, &pool, SimTime::from_hours(2), 3);
         assert!((b.gross - b.cost - b.refunded).abs() < 1e-9);
         assert_eq!(b.refunded, 0.0, "baselines never harvest refunds");
     }
@@ -60,8 +74,8 @@ fn spottune_beats_baselines_on_cost() {
     let w = small(Algorithm::Gbtr, 40, 6);
     let start = SpotTuneConfig::default().start;
     let st = spottune(SpotTuneConfig::new(0.7, 2).with_seed(5), &w, &pool, &oracle);
-    let cheap = run_single_spot(SingleSpotKind::Cheapest, &w, &pool, start, 5);
-    let fast = run_single_spot(SingleSpotKind::Fastest, &w, &pool, start, 5);
+    let cheap = single_spot(SingleSpotKind::Cheapest, &w, &pool, start, 5);
+    let fast = single_spot(SingleSpotKind::Fastest, &w, &pool, start, 5);
     assert!(
         st.cost < cheap.cost && st.cost < fast.cost,
         "SpotTune {} vs cheapest {} / fastest {}",
