@@ -32,7 +32,7 @@ fn bench_campaign(c: &mut Criterion) {
     group.bench_function("campaign_lor_4cfg_60steps_theta07", |b| {
         b.iter(|| spottune(SpotTuneConfig::new(0.7, 2).with_seed(9), &lor_small, &pool))
     });
-    // The Single-Spot baseline on the dedicated drive, submitted at 02:00.
+    // The Single-Spot baseline (θ = 1, never checkpointed), submitted at 02:00.
     let cfg =
         SpotTuneConfig { start: SimTime::from_hours(2), ..SpotTuneConfig::new(1.0, 3).with_seed(9) };
     let baseline = Engine::new(cfg, small.clone(), pool.clone());

@@ -3,7 +3,7 @@
 use spottune_bench::{standard_pool, MASTER_SEED};
 use spottune_core::prelude::*;
 use spottune_mlsim::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn main() {
     let pool = standard_pool(MASTER_SEED);
@@ -13,10 +13,10 @@ fn main() {
     let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
     let (report, events) = Engine::new(cfg, w, pool).run_traced(&mut policy);
 
-    let mut deployed_per_inst: HashMap<String, u64> = HashMap::new();
+    let mut deployed_per_inst: BTreeMap<String, u64> = BTreeMap::new();
     let (mut deployed, mut revoked_free, mut revoked_paid, mut recycled, mut finished) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut deploy_time: HashMap<usize, spottune_market::SimTime> = HashMap::new();
+    let mut deploy_time: BTreeMap<usize, spottune_market::SimTime> = BTreeMap::new();
     let mut free_lifetimes = Vec::new();
     for e in &events {
         match e {

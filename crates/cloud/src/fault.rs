@@ -11,7 +11,8 @@
 //! campaign RNG. That keeps two guarantees:
 //!
 //! 1. **Replayability** — the same plan yields bit-identical event
-//!    sequences and campaign reports on every run and in both drive modes.
+//!    sequences and campaign reports on every run, whether the engine
+//!    jumps between event ticks or visits every poll tick.
 //! 2. **Isolation** — a run with no plan installed is bit-identical to a
 //!    run built before fault injection existed, because no RNG stream is
 //!    perturbed and no code path changes shape.

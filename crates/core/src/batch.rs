@@ -37,7 +37,6 @@
 use crate::arena::EngineScratch;
 use crate::campaign::CampaignRequest;
 use crate::engine::{compute_spe_means, Engine, SpeTable, TransientExec};
-use crate::policy::PolicyMode;
 use crate::provision::OracleEstimator;
 use crate::report::HptReport;
 use crate::soa::{JobLanes, COHORT_WIDTH};
@@ -392,10 +391,9 @@ pub struct GroupSession<'a> {
 
 impl GroupSession<'_> {
     /// Runs a cohort of campaigns of this session's scenario through the
-    /// SoA hot path: phase 1 of every transient campaign first, then one
+    /// SoA hot path: phase 1 of every campaign first, then one
     /// cross-campaign lane-kernel pass over all of their final-metric
     /// extrapolations, then each campaign's selection/phase-2/report.
-    /// Dedicated-mode campaigns (no prediction stage) run scalar in place.
     /// Reports are returned in cohort order and are bit-identical to
     /// [`CampaignRequest::run_serial`] per request — the barrier reorders
     /// work only *between* independent campaigns.
@@ -446,43 +444,31 @@ impl GroupSession<'_> {
             policies.push(policy);
         }
 
-        // Phase 1 per campaign (dedicated campaigns complete here).
-        let mut reports: Vec<Option<HptReport>> = Vec::new();
-        reports.resize_with(reqs.len(), || None);
-        let mut execs: Vec<Option<TransientExec<'_>>> = Vec::with_capacity(reqs.len());
-        for (i, (engine, policy)) in engines.iter().zip(policies.iter_mut()).enumerate() {
-            let scratch = &mut lane_scratch[i];
-            if policy.mode() == PolicyMode::Dedicated {
-                reports[i] = Some(engine.run_with_scratch(policy.as_mut(), scratch));
-                execs.push(None);
-            } else {
-                let mut exec = TransientExec::new(engine, scratch);
-                exec.phase1(policy.as_mut(), scratch);
-                execs.push(Some(exec));
-            }
+        // Phase 1 per campaign.
+        let mut execs = Vec::with_capacity(reqs.len());
+        let staged = engines.iter().zip(&mut policies).zip(&mut *lane_scratch);
+        for ((engine, policy), scratch) in staged {
+            let mut exec = TransientExec::new(engine, scratch);
+            exec.phase1(policy.as_mut(), scratch);
+            execs.push(exec);
         }
 
         // The barrier: gather every campaign's prediction inputs into the
         // SoA lanes, one kernel pass, scatter back.
         lanes.clear();
-        let handles: Vec<Option<usize>> = execs
+        let handles: Vec<usize> = execs
             .iter()
-            .enumerate()
-            .map(|(i, exec)| {
-                exec.as_ref().map(|exec| {
-                    lanes.gather(lane_scratch[i].arena.slots(), exec.theta(), exec.max_steps)
-                })
-            })
+            .zip(&*lane_scratch)
+            .map(|(exec, s)| lanes.gather(s.arena.slots(), exec.theta(), exec.max_steps))
             .collect();
         lanes.evaluate();
 
         // Selection, phase 2 and report per campaign.
+        let mut reports = Vec::with_capacity(reqs.len());
         for (i, exec) in execs.into_iter().enumerate() {
-            let Some(exec) = exec else { continue };
-            let handle = handles[i].expect("transient campaigns were gathered");
-            let predicted = lanes.scatter(handle);
+            let predicted = lanes.scatter(handles[i]);
             let truth = resolved[i].2.as_ref().clone();
-            reports[i] = Some(exec.finish(
+            reports.push(exec.finish(
                 policies[i].as_mut(),
                 &mut lane_scratch[i],
                 predicted,
@@ -495,7 +481,7 @@ impl GroupSession<'_> {
         runner.counters.lane_slots.fetch_add(slots, Ordering::Relaxed);
         runner.counters.lane_jobs.fetch_add(jobs, Ordering::Relaxed);
         runner.counters.campaigns.fetch_add(reports.len() as u64, Ordering::Relaxed);
-        reports.into_iter().map(|r| r.expect("every cohort campaign reports")).collect()
+        reports
     }
 
     /// Index of the memoized estimator for `spec`, building it on first
@@ -623,8 +609,8 @@ mod tests {
         assert_eq!(session.spe_memos.len(), 1, "equal workloads share one SPE table");
     }
 
-    /// A lone campaign is a cohort of one, transient or dedicated, on one
-    /// reused session.
+    /// A lone campaign is a cohort of one, baseline or not, on one reused
+    /// session.
     #[test]
     fn cohort_of_one_matches_serial_for_every_registered_policy() {
         let scenario = MarketScenario::from_days(1, 7);

@@ -74,8 +74,9 @@ pub enum Approach {
 /// "The baseline we compare SpotTune with is running HPT on a single spot
 /// instance. We assume the maximum price of each used single-spot instance
 /// is much higher than its market price such that it would not be revoked"
-/// (§IV.A.4). One VM per configuration, all of the same type, trained to
-/// the full `max_trial_steps` (θ = 1, no early shutdown).
+/// (§IV.A.4). One VM per configuration, all of the same type, run at θ = 1
+/// (no early shutdown; a configuration whose curve converges finishes
+/// early, as under SpotTune at θ = 1) and never checkpointed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SingleSpotKind {
     /// Lowest on-demand price in the catalog: `r4.large`.
@@ -171,8 +172,8 @@ impl Approach {
         }
     }
 
-    /// Whether this approach's behaviour depends on θ (the others always
-    /// train full length).
+    /// Whether this approach's behaviour depends on θ (the baselines
+    /// always run at θ = 1).
     pub fn is_theta_parameterized(&self) -> bool {
         matches!(
             self,
@@ -195,8 +196,10 @@ impl Approach {
         SpotTuneConfig::new(theta, 3).with_seed(seed)
     }
 
-    /// Builds this approach's policy over `estimator` (transient policies
-    /// consult it for revocation probabilities; dedicated ones ignore it).
+    /// Builds this approach's policy over `estimator`. Every policy runs on
+    /// the engine's one drive; SpotTune and the related-work policies
+    /// consult the estimator for revocation probabilities, the Single-Spot
+    /// and On-Demand baselines ignore it.
     pub fn build_policy<'a>(
         &self,
         estimator: &'a dyn RevocationEstimator,

@@ -5,34 +5,31 @@
 //! billing, checkpoint accounting, EarlyCurve prediction and top-`mcnt`
 //! continuation, and time advance — and consults a
 //! [`ProvisionPolicy`](crate::policy::ProvisionPolicy) at its decision
-//! points. Two drives cover the two execution models:
+//! points. Every policy, the baselines included, runs on one drive: the
+//! paper's Algorithm-1 loop. Phase 1 runs every configuration to
+//! `θ × max_trial_steps`, reacting to three events per poll (10 s):
+//! revocation notices (checkpoint → requeue), step-target completion
+//! (checkpoint → finish), and the one-hour proactive recycle (checkpoint →
+//! shutdown → requeue, harvesting the first-hour refund opportunity).
+//! EarlyCurve then predicts every configuration's final metric and the
+//! top-`mcnt` continue from their checkpoints to full training (Algorithm
+//! 1 lines 48–53). The loop polls every 10 seconds; the engine runs it as
+//! a next-event drive that jumps straight to the grid ticks at which
+//! something can happen and credits the quiet ticks in between in one
+//! integer addition. The crate's unit tests check it against itself
+//! stepped one tick at a time (the `oracle` test module): reports and
+//! trace-event sequences must be bit-identical.
 //!
-//! * **Transient** ([`PolicyMode::Transient`]) — the paper's Algorithm-1
-//!   loop. Phase 1 runs every configuration to `θ × max_trial_steps`,
-//!   reacting to three events per poll (10 s): revocation notices
-//!   (checkpoint → requeue), step-target completion (checkpoint → finish),
-//!   and the one-hour proactive recycle (checkpoint → shutdown → requeue,
-//!   harvesting the first-hour refund opportunity). EarlyCurve then
-//!   predicts every configuration's final metric and the top-`mcnt`
-//!   continue from their checkpoints to full training (Algorithm 1 lines
-//!   48–53). The loop polls every 10 seconds; the engine runs it as a
-//!   next-event drive that jumps straight to the grid ticks at which
-//!   something can happen and credits the quiet ticks in between in one
-//!   integer addition. The crate's unit tests check it against itself
-//!   stepped one tick at a time (the `oracle` test module): reports and
-//!   trace-event sequences must be bit-identical.
-//! * **Dedicated** ([`PolicyMode::Dedicated`]) — the baselines' execution
-//!   model: one never-revoked VM per configuration, trained start-to-finish
-//!   with θ = 1 semantics (predictions are the observed finals). Kept
-//!   bit-identical to the closed-form baselines in the `policy_equivalence`
-//!   tests.
+//! The Single-Spot and On-Demand baselines are ordinary policies on this
+//! drive at θ = 1: one fixed instance type, no checkpoints, and the same
+//! convergence finish rule SpotTune at θ = 1 uses.
 
 use crate::arena::EngineScratch;
 use crate::config::SpotTuneConfig;
 use crate::job::{FinishReason, Job};
 use crate::perfmatrix::PerfMatrix;
 use crate::policy::{
-    CheckpointPlan, DeployCtx, MigrationCtx, MigrationJob, Placement, PolicyMode, ProvisionPolicy,
+    CheckpointPlan, DeployCtx, MigrationCtx, MigrationJob, Placement, ProvisionPolicy,
 };
 use crate::report::HptReport;
 use rand::rngs::StdRng;
@@ -41,7 +38,7 @@ use spottune_cloud::storage::{checkpoint_speed_mbps, transfer_time};
 use spottune_cloud::{CloudEvent, CloudProvider, FaultPlan, ObjectStore, VmId};
 use spottune_earlycurve::EarlyCurveConfig;
 use spottune_market::{MarketPool, PoolSpine, SimDur, SimTime};
-use spottune_mlsim::{CurveCache, PerfModel, TrainingRun, Workload};
+use spottune_mlsim::{CurveCache, PerfModel, Workload};
 use std::sync::Arc;
 
 /// One entry of the campaign timeline (the lifecycle of paper Fig. 4).
@@ -104,7 +101,7 @@ pub struct Engine {
     curve_cache: CurveCache,
     fault_plan: Option<FaultPlan>,
     /// Optional shared per-scenario event spine, handed through to the
-    /// transient drive's provider (see [`CloudProvider::with_spine`]).
+    /// drive's provider (see [`CloudProvider::with_spine`]).
     spine: Option<Arc<PoolSpine>>,
     /// Optional precomputed seconds-per-step means (the exact value of
     /// [`compute_spe_means`] for this engine's pool and workload), shared
@@ -135,7 +132,7 @@ impl Engine {
     }
 
     /// Installs a shared event spine built from this engine's pool: the
-    /// transient drive's provider resolves markets and revocation instants
+    /// drive's provider resolves markets and revocation instants
     /// through it instead of re-scanning traces. Bit-identical either way;
     /// wall-clock only.
     pub fn with_spine(mut self, spine: Arc<PoolSpine>) -> Self {
@@ -154,12 +151,12 @@ impl Engine {
     }
 
     /// Installs a seeded fault schedule (correlated revocation storms,
-    /// delayed notices, checkpoint upload failures) on the transient
-    /// drive's provider. The dedicated drive ignores the plan — its
-    /// baselines assume reliable capacity by construction. With no plan
-    /// (the default) every campaign is bit-identical to a fault-free
-    /// build, and because every injected decision is a pure function of
-    /// the plan's seed, the same plan replays bit-identically.
+    /// delayed notices, checkpoint upload failures) on the drive's
+    /// provider. It reaches every policy: a storm reclaims the baselines'
+    /// spot VMs whatever their bid. With no plan (the default) every
+    /// campaign is bit-identical to a fault-free build, and because every
+    /// injected decision is a pure function of the plan's seed, the same
+    /// plan replays bit-identically.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -188,28 +185,13 @@ impl Engine {
         (report, std::mem::take(&mut scratch.events))
     }
 
-    /// Runs the campaign reusing `scratch`'s job slots and buffers — how a
-    /// cohort runs its dedicated-mode campaigns. The scratch only recycles
+    /// Runs the campaign reusing `scratch`'s job slots and buffers. The
+    /// stages are those of [`TransientExec`] run back-to-back; the batched
+    /// sweep's SoA path interleaves many campaigns' stages around a shared
+    /// lane-prediction barrier instead. The scratch only recycles
     /// allocations (every slot is reset to exactly the fresh-job state), so
-    /// the report is bit-identical to [`Engine::run`] with a fresh scratch.
-    pub(crate) fn run_with_scratch(
-        &self,
-        policy: &mut dyn ProvisionPolicy,
-        scratch: &mut EngineScratch,
-    ) -> HptReport {
-        scratch.events.clear();
-        match policy.mode() {
-            PolicyMode::Transient => self.run_transient(policy, scratch),
-            PolicyMode::Dedicated => self.run_dedicated(policy, scratch),
-        }
-    }
-
-    /// The transient drive: Algorithm 1 with the policy consulted at every
-    /// deployment, revocation, progress and recycle decision. Staged
-    /// through [`TransientExec`] — the serial path runs the stages
-    /// back-to-back; the batched sweep's SoA path interleaves many
-    /// campaigns' stages around a shared lane-prediction barrier.
-    fn run_transient(
+    /// the report does not depend on what the scratch held before.
+    fn run_with_scratch(
         &self,
         policy: &mut dyn ProvisionPolicy,
         scratch: &mut EngineScratch,
@@ -218,118 +200,6 @@ impl Engine {
         exec.phase1(policy, scratch);
         let predicted = exec.predict_scalar(scratch);
         exec.finish(policy, scratch, predicted, None)
-    }
-
-    /// The dedicated drive: one never-revoked VM per configuration, placed
-    /// by the policy, trained start-to-finish (the Single-Spot/On-Demand
-    /// baseline execution model — θ = 1, no checkpoints, no recycling).
-    ///
-    /// Kept bit-identical to the closed-form Single-Spot and On-Demand
-    /// baselines of the `policy_equivalence` tests: [`DEDICATED_SALT`]
-    /// seeds the step-time stream, and policies whose placements match the
-    /// closed forms reproduce their reports exactly.
-    fn run_dedicated(
-        &self,
-        policy: &mut dyn ProvisionPolicy,
-        scratch: &mut EngineScratch,
-    ) -> HptReport {
-        let cfg = &self.config;
-        let start = cfg.start;
-        let workload = &self.workload;
-        let mut provider = CloudProvider::new(self.pool.clone());
-        if let Some(spine) = &self.spine {
-            provider = provider.with_spine(Arc::clone(spine));
-        }
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ DEDICATED_SALT);
-        let matrix = PerfMatrix::new(cfg.c0, cfg.ewma_alpha);
-        let warmup = SimDur::from_secs(workload.restore_warmup_secs());
-
-        let events = &mut scratch.events;
-        let mut end_latest = start;
-        let mut charged_steps = 0u64;
-        let mut train_time = SimDur::ZERO;
-        let mut finals = Vec::with_capacity(workload.hp_grid().len());
-        for (i, hp) in workload.hp_grid().iter().enumerate() {
-            let ctx = DeployCtx { t: start, hp_index: i, pool: &self.pool, matrix: &matrix };
-            let (vm_id, instance, max_price) = match policy.choose_instance(&ctx, &mut rng) {
-                Placement::Spot(choice) => {
-                    let id = provider
-                        .request_spot(start, &choice.instance, choice.max_price)
-                        .unwrap_or_else(|e| panic!("dedicated spot request failed: {e}"));
-                    (id, choice.instance, choice.max_price)
-                }
-                Placement::OnDemand { instance } => {
-                    let id = provider
-                        .request_on_demand(start, &instance)
-                        .unwrap_or_else(|e| panic!("dedicated on-demand request failed: {e}"));
-                    let rate = provider.vm(id).expect("vm exists").max_price();
-                    (id, instance, rate)
-                }
-            };
-            events.push(TraceEvent::Deployed {
-                job: i,
-                instance: instance.clone(),
-                max_price,
-                at: start,
-            });
-            let vm = provider.vm(vm_id).expect("vm exists");
-            let inst = vm.instance().clone();
-            let launched = vm.launched_at();
-            // Run the configuration to completion, sampling per-step times.
-            let max = workload.max_trial_steps();
-            let mut busy = 0.0f64;
-            for _ in 0..max {
-                busy += self.perf_model.sample_spe(&inst, workload, hp, &mut rng);
-            }
-            let run = TrainingRun::with_cache(workload, hp, cfg.seed, &self.curve_cache);
-            finals.push(run.final_metric());
-            charged_steps += max;
-            let busy_dur = SimDur::from_secs(busy.ceil() as u64);
-            train_time += busy_dur;
-            let end = launched + warmup + busy_dur;
-            provider.terminate(end, vm_id);
-            events.push(TraceEvent::Finished {
-                job: i,
-                reason: FinishReason::TargetReached,
-                steps: max,
-                at: end,
-            });
-            end_latest = end_latest.max(end);
-        }
-
-        let ledger = provider.ledger();
-        let true_finals = spottune_mlsim::runner::ground_truth_finals_with_cache(
-            workload,
-            cfg.seed,
-            &self.curve_cache,
-        );
-        let mut ranking: Vec<usize> = (0..finals.len()).collect();
-        ranking.sort_by(|&a, &b| finals[a].partial_cmp(&finals[b]).expect("finite"));
-        let report = HptReport {
-            approach: policy.name(),
-            workload: workload.algorithm().name().to_string(),
-            theta: 1.0,
-            cost: ledger.total_charged(),
-            refunded: ledger.total_refunded(),
-            gross: ledger.total_gross(),
-            jct: end_latest - start,
-            cost_with_continuation: ledger.total_charged(),
-            jct_with_continuation: end_latest - start,
-            train_time,
-            overhead_time: SimDur::from_secs(
-                workload.restore_warmup_secs() * workload.hp_grid().len() as u64,
-            ),
-            free_steps: 0,
-            charged_steps,
-            predicted_finals: finals,
-            true_finals,
-            selected: ranking.into_iter().take(cfg.mcnt).collect(),
-            deployments: workload.hp_grid().len() as u64,
-            revocations: 0,
-            lost_steps: 0,
-            migrations: 0,
-        };
-        report
     }
 
     /// The Algorithm-1 loop (line 45 polls every `poll_interval`, 10
@@ -877,7 +747,7 @@ impl Engine {
     }
 }
 
-/// One transient campaign staged into its Algorithm-1 phases, so callers
+/// One campaign staged into its Algorithm-1 phases, so callers
 /// can interpose between phase 1 and selection. [`Engine::run`] composes
 /// the stages sequentially; the batched sweep's SoA path
 /// ([`crate::soa`]) runs phase 1 for a whole cohort of campaigns, batches
@@ -906,8 +776,7 @@ pub(crate) struct TransientExec<'e> {
 impl<'e> TransientExec<'e> {
     /// Sets up one campaign: provider (with spine/fault overlays), fresh
     /// store/matrix/RNG, job slots prepared in `scratch`, SPE means
-    /// resolved. Identical construction order to the historical inline
-    /// `run_transient` body.
+    /// resolved.
     pub(crate) fn new(engine: &'e Engine, scratch: &mut EngineScratch) -> Self {
         let cfg = &engine.config;
         let max_steps = engine.workload.max_trial_steps();
@@ -1099,7 +968,7 @@ impl<'e> TransientExec<'e> {
 pub type SpeTable = Vec<(String, Vec<f64>)>;
 
 /// The per-(market, configuration) true seconds-per-step means the
-/// transient drive samples around. A pure function of `(pool, workload)` —
+/// drive samples around. A pure function of `(pool, workload)` —
 /// the batch runner computes it once per (scenario, workload) pair and
 /// shares it via [`Engine::with_spe_means`]; a lone engine derives it
 /// per campaign.
@@ -1126,14 +995,9 @@ fn sum_dur(durs: impl Iterator<Item = SimDur>) -> SimDur {
     durs.fold(SimDur::ZERO, |acc, d| acc + d)
 }
 
-/// Seed salt for the transient drive's decision-stream RNG (kept from the
+/// Seed salt for the drive's decision-stream RNG (kept from the
 /// pre-policy-layer orchestrator so reports stay bit-identical).
 const ORCH_SALT: u64 = 0x0c_5a17;
-
-/// Seed salt for the dedicated drive's step-time RNG. The closed-form
-/// baselines of the `policy_equivalence` tests use the same salt and
-/// compare report for report.
-const DEDICATED_SALT: u64 = 0xba5e;
 
 #[cfg(test)]
 mod tests {
@@ -1202,9 +1066,9 @@ mod tests {
         assert_eq!(report.approach, "SpotTune(θ=0.7)");
     }
 
-    /// A dedicated baseline on a four-configuration, 40-step LoR slice of
-    /// the 10-day standard pool, submitted at 02:00.
-    fn dedicated_baseline(policy: &mut dyn ProvisionPolicy) -> HptReport {
+    /// A baseline on a four-configuration, 40-step LoR slice of the 10-day
+    /// standard pool, submitted at 02:00.
+    fn baseline(policy: &mut dyn ProvisionPolicy) -> HptReport {
         let base = Workload::benchmark(Algorithm::LoR);
         let w = Workload::custom(Algorithm::LoR, 40, base.hp_grid()[..4].to_vec());
         let pool = MarketPool::standard(SimDur::from_days(10), 42);
@@ -1217,7 +1081,7 @@ mod tests {
 
     #[test]
     fn baseline_never_gets_refunds() {
-        let r = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
+        let r = baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
         assert_eq!(r.refunded, 0.0);
         assert_eq!(r.free_steps, 0);
         assert_eq!(r.charged_steps, 4 * 40);
@@ -1229,17 +1093,17 @@ mod tests {
 
     #[test]
     fn fastest_beats_cheapest_on_jct_but_not_cost() {
-        let cheap = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
-        let fast = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Fastest));
+        let cheap = baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
+        let fast = baseline(&mut SingleSpot::new(SingleSpotKind::Fastest));
         assert!(fast.jct < cheap.jct, "fast {} cheap {}", fast.jct, cheap.jct);
         assert!(fast.cost > cheap.cost, "fast {} cheap {}", fast.cost, cheap.cost);
     }
 
     #[test]
     fn on_demand_matches_single_spot_wall_clock_at_fixed_price() {
-        let spot = dedicated_baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
-        let od = dedicated_baseline(&mut OnDemand::new(SingleSpotKind::Cheapest));
-        // Same instance, same step-time stream (same salt): identical JCT.
+        let spot = baseline(&mut SingleSpot::new(SingleSpotKind::Cheapest));
+        let od = baseline(&mut OnDemand::new(SingleSpotKind::Cheapest));
+        // Same instance, same decision stream, never revoked: identical JCT.
         assert_eq!(od.jct, spot.jct);
         assert_eq!(od.train_time, spot.train_time);
         // But billed at the fixed on-demand rate with no refund exposure.

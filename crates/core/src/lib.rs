@@ -20,6 +20,19 @@
 //! the layer below, for a non-default `mcnt` or a custom
 //! [`ProvisionPolicy`].
 //!
+//! # Design notes
+//!
+//! The baselines run on the same drive as SpotTune, under the same
+//! failure model. [`policy::SingleSpot`] stands in for the paper's "never
+//! revoked" single-spot instance by bidding 100× the on-demand price, so
+//! no price excursion in the traces ever revokes it; only a
+//! [`FaultPlan`](spottune_cloud::FaultPlan) storm does, exactly as it
+//! would a SpotTune VM in that market. The baselines never checkpoint — no
+//! one-hour recycle, no upload in a notice window — so a revoked
+//! configuration starts over. They run at θ = 1 and keep the drive's
+//! convergence finish rule, the one SpotTune at θ = 1 uses: a
+//! configuration whose curve plateaus stops before `max_trial_steps`.
+//!
 //! ```no_run
 //! use spottune_core::prelude::*;
 //! use spottune_market::prelude::*;
@@ -61,8 +74,8 @@ pub use engine::{Engine, TraceEvent};
 pub use migration::{assignment_cost, greedy_assignment, min_cost_assignment};
 pub use perfmatrix::PerfMatrix;
 pub use policy::{
-    CheckpointPlan, DeployCtx, Matcher, MigrationCtx, MigrationJob, Placement, PolicyMode,
-    ProvisionPolicy, SpotTuneTheta,
+    CheckpointPlan, DeployCtx, Matcher, MigrationCtx, MigrationJob, Placement, ProvisionPolicy,
+    SpotTuneTheta,
 };
 pub use provision::{InstChoice, OracleEstimator, Provisioner};
 pub use report::HptReport;
@@ -79,7 +92,7 @@ pub mod prelude {
     pub use crate::migration::{assignment_cost, greedy_assignment, min_cost_assignment};
     pub use crate::perfmatrix::PerfMatrix;
     pub use crate::policy::{
-        CheckpointPlan, DeployCtx, Matcher, MigrationCtx, MigrationJob, Placement, PolicyMode,
+        CheckpointPlan, DeployCtx, Matcher, MigrationCtx, MigrationJob, Placement,
         ProvisionPolicy, SpotTuneTheta,
     };
     pub use crate::provision::{InstChoice, OracleEstimator, Provisioner};

@@ -96,18 +96,6 @@ use rand::rngs::StdRng;
 use spottune_market::{MarketPool, RevocationEstimator, SimDur, SimTime};
 use std::collections::BTreeMap;
 
-/// How the engine drives a policy's jobs through time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyMode {
-    /// Transient capacity: the full Algorithm-1 event loop — revocation
-    /// notices, checkpoint/restore, proactive recycling, θ-split phases.
-    Transient,
-    /// Dedicated capacity: one never-revoked VM per configuration, trained
-    /// start-to-finish (the baselines' execution model — no notices, no
-    /// checkpoints, no early shutdown).
-    Dedicated,
-}
-
 /// A policy's answer to "where should this configuration run next".
 #[derive(Debug, Clone, PartialEq)]
 pub enum Placement {
@@ -182,11 +170,6 @@ pub trait ProvisionPolicy: std::fmt::Debug {
     ///
     /// [`HptReport::approach`]: crate::report::HptReport::approach
     fn name(&self) -> String;
-
-    /// Which engine drive this policy runs on (transient by default).
-    fn mode(&self) -> PolicyMode {
-        PolicyMode::Transient
-    }
 
     /// Picks the placement for a waiting configuration. Called whenever a
     /// job needs a VM: first deployment, after a revocation, after a
@@ -281,8 +264,11 @@ impl ProvisionPolicy for SpotTuneTheta<'_> {
 }
 
 /// The paper's Single-Spot Tune baseline as a policy: every configuration
-/// on one fixed instance type, bid far above the trace cap so it is never
-/// revoked, run on the dedicated drive (θ = 1, no checkpoints).
+/// on one fixed instance type, bid far above the trace cap so the price
+/// never revokes it (a [`FaultPlan`](spottune_cloud::FaultPlan) storm
+/// still can), run at θ = 1 and never checkpointed — no one-hour recycle
+/// and no upload inside a notice window, so a revocation sends the
+/// configuration back to step zero.
 #[derive(Debug, Clone, Copy)]
 pub struct SingleSpot {
     kind: SingleSpotKind,
@@ -300,10 +286,6 @@ impl ProvisionPolicy for SingleSpot {
         self.kind.label().to_string()
     }
 
-    fn mode(&self) -> PolicyMode {
-        PolicyMode::Dedicated
-    }
-
     fn choose_instance(&mut self, ctx: &DeployCtx<'_>, _rng: &mut StdRng) -> Placement {
         let inst_name = self.kind.instance_name();
         let market = ctx
@@ -319,6 +301,10 @@ impl ProvisionPolicy for SingleSpot {
             avg_price: market.avg_price_last_hour(ctx.t),
             expected_step_cost: 0.0,
         })
+    }
+
+    fn should_checkpoint(&self, _hp_index: usize, _vm_age: SimDur) -> bool {
+        false
     }
 }
 
@@ -340,10 +326,6 @@ impl OnDemand {
 impl ProvisionPolicy for OnDemand {
     fn name(&self) -> String {
         self.kind.on_demand_label().to_string()
-    }
-
-    fn mode(&self) -> PolicyMode {
-        PolicyMode::Dedicated
     }
 
     fn choose_instance(&mut self, _ctx: &DeployCtx<'_>, _rng: &mut StdRng) -> Placement {

@@ -1,12 +1,13 @@
 //! Fault-injection harness acceptance: seeded fault plans are
 //! deterministic (same seed → bit-identical campaigns), sub-poll notices
 //! keep their grace window, and every registered policy survives a
-//! correlated revocation storm with a coherent report. The engine's drive
-//! is checked against itself stepped every tick, under these same plans,
-//! in `spottune-core`'s `oracle` unit tests.
+//! correlated revocation storm with a coherent report — the Single-Spot
+//! baseline included, which a storm revokes like any other spot VM. The
+//! engine's drive is checked against itself stepped every tick, under
+//! these same plans, in `spottune-core`'s `oracle` unit tests.
 
 use spottune_cloud::FaultPlan;
-use spottune_core::policy::SpotTuneTheta;
+use spottune_core::policy::{SingleSpot, SpotTuneTheta};
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_market::RevocationEstimator;
@@ -145,4 +146,34 @@ fn every_policy_terminates_under_an_injected_storm() {
             "{name}: billing identity under storm"
         );
     }
+}
+
+/// The Single-Spot baseline runs on the same drive as SpotTune, so a storm
+/// in its market revokes it despite its 100× bid. It never checkpoints, so
+/// the revoked configurations start over and the campaign finishes later.
+/// Cost is not asserted to rise: a revocation inside a VM's first hour
+/// refunds that hour.
+#[test]
+fn a_storm_reaches_the_single_spot_baseline() {
+    let pool = MarketPool::standard(SimDur::from_days(2), 42);
+    let cfg = SpotTuneConfig::new(1.0, 3).with_seed(11);
+    let market = SingleSpotKind::Cheapest.instance_name();
+    let plan = FaultPlan::new(11).with_storm(market, cfg.start + SimDur::from_mins(20));
+    let run = |plan: Option<&FaultPlan>| {
+        let mut engine = Engine::new(cfg.clone(), tiny(20), pool.clone());
+        if let Some(plan) = plan {
+            engine = engine.with_fault_plan(plan.clone());
+        }
+        engine.run(&mut SingleSpot::new(SingleSpotKind::Cheapest))
+    };
+    let calm = run(None);
+    let stormy = run(Some(&plan));
+    assert_eq!(calm.revocations, 0, "the 100x bid keeps price revocations away");
+    assert!(stormy.revocations >= 1, "the storm must revoke the baseline");
+    assert!(stormy.lost_steps > 0, "an uncheckpointed baseline loses its progress");
+    assert!(stormy.jct > calm.jct, "storm JCT {} vs calm {}", stormy.jct, calm.jct);
+    assert!(
+        (stormy.gross - stormy.cost - stormy.refunded).abs() < 1e-9,
+        "billing identity must hold under the storm"
+    );
 }

@@ -1,112 +1,19 @@
-//! Policy-layer lock-in: re-expressing the paper's approaches as
-//! [`ProvisionPolicy`] impls must not move a single bit.
+//! Policy-layer lock-in: the trait's defaulted hooks must not move a bit.
 //!
-//! * `SingleSpot` and `OnDemand` run through the engine's dedicated drive
-//!   and are compared report-for-report against [`closed_form`], the
-//!   baselines written out directly.
 //! * A policy that leaves the grace-window hooks at their defaults
 //!   reproduces `SpotTuneTheta` bit for bit.
+//! * The related-work policies complete campaigns on the same engine with
+//!   coherent accounting.
 //!
 //! `SpotTuneTheta` against the engine stepped every tick, and against the
-//! request trunk, is checked in `spottune-core`'s `oracle` unit tests.
-//! Together the cases below cover 120 campaigns (≥ 100 required).
+//! request trunk, is checked in `spottune-core`'s `oracle` unit tests; so
+//! are the baselines, which run on the same drive. Together the cases
+//! below cover 15 campaigns.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use spottune_cloud::CloudProvider;
 use spottune_core::prelude::*;
 use spottune_market::prelude::*;
 use spottune_mlsim::prelude::*;
-use spottune_mlsim::runner::ground_truth_finals_with_cache;
-
-/// Seed salt of the engine's dedicated drive (its step-time stream).
-const DEDICATED_SALT: u64 = 0xba5e;
-
-/// The Single-Spot (or, with `on_demand`, the On-Demand) baseline written
-/// out directly: one VM of `kind` per configuration, requested at `start`,
-/// bid far above the trace cap (or billed at the fixed on-demand price) so
-/// it is never revoked, trained to the full `max_trial_steps` with θ = 1
-/// semantics, the top three selected.
-///
-/// # Panics
-///
-/// Panics if the pool lacks the baseline's instance type.
-fn closed_form(
-    kind: SingleSpotKind,
-    on_demand: bool,
-    workload: &Workload,
-    pool: &MarketPool,
-    start: SimTime,
-    seed: u64,
-) -> HptReport {
-    let inst_name = kind.instance_name();
-    let market = pool
-        .market(inst_name)
-        .unwrap_or_else(|| panic!("pool lacks baseline instance {inst_name}"));
-    let inst = market.instance().clone();
-    let perf = PerfModel::new();
-    let curve_cache = CurveCache::global();
-    let mut provider = CloudProvider::new(pool.clone());
-    let mut rng = StdRng::seed_from_u64(seed ^ DEDICATED_SALT);
-    // The "never revoked" assumption: offer far above the trace cap.
-    let never = inst.on_demand_price() * 100.0;
-    let warmup = SimDur::from_secs(workload.restore_warmup_secs());
-
-    let mut end_latest = start;
-    let mut charged_steps = 0u64;
-    let mut train_time = SimDur::ZERO;
-    let mut finals = Vec::with_capacity(workload.hp_grid().len());
-    for hp in workload.hp_grid() {
-        let vm = if on_demand {
-            provider.request_on_demand(start, inst_name).expect("baseline instance in catalog")
-        } else {
-            provider.request_spot(start, inst_name, never).expect("baseline request accepted")
-        };
-        let launched = provider.vm(vm).expect("vm exists").launched_at();
-        // Run the configuration to completion, sampling per-step times.
-        let max = workload.max_trial_steps();
-        let mut busy = 0.0f64;
-        for _ in 0..max {
-            busy += perf.sample_spe(&inst, workload, hp, &mut rng);
-        }
-        finals.push(TrainingRun::with_cache(workload, hp, seed, &curve_cache).final_metric());
-        charged_steps += max;
-        let busy_dur = SimDur::from_secs(busy.ceil() as u64);
-        train_time += busy_dur;
-        let end = launched + warmup + busy_dur;
-        provider.terminate(end, vm);
-        end_latest = end_latest.max(end);
-    }
-
-    let ledger = provider.ledger();
-    let true_finals = ground_truth_finals_with_cache(workload, seed, &curve_cache);
-    let mut ranking: Vec<usize> = (0..finals.len()).collect();
-    ranking.sort_by(|&a, &b| finals[a].partial_cmp(&finals[b]).expect("finite"));
-    HptReport {
-        approach: if on_demand { kind.on_demand_label() } else { kind.label() }.to_string(),
-        workload: workload.algorithm().name().to_string(),
-        theta: 1.0,
-        cost: ledger.total_charged(),
-        refunded: ledger.total_refunded(),
-        gross: ledger.total_gross(),
-        jct: end_latest - start,
-        cost_with_continuation: ledger.total_charged(),
-        jct_with_continuation: end_latest - start,
-        train_time,
-        overhead_time: SimDur::from_secs(
-            workload.restore_warmup_secs() * workload.hp_grid().len() as u64,
-        ),
-        free_steps: 0,
-        charged_steps,
-        predicted_finals: finals,
-        true_finals,
-        selected: ranking.into_iter().take(3).collect(),
-        deployments: workload.hp_grid().len() as u64,
-        revocations: 0,
-        lost_steps: 0,
-        migrations: 0,
-    }
-}
 
 fn tiny(algorithm: Algorithm, steps: u64) -> Workload {
     let base = Workload::benchmark(algorithm);
@@ -121,61 +28,6 @@ fn request(
 ) -> CampaignRequest {
     let estimator = EstimatorSpec::default();
     CampaignRequest { id: seed, approach, workload: workload.clone(), scenario, seed, estimator }
-}
-
-/// 80 campaigns: 2 workloads × 2 kinds × 10 seeds × 2 market scenarios.
-#[test]
-fn single_spot_policy_is_bit_identical_to_closed_form() {
-    let workloads = [tiny(Algorithm::LoR, 12), tiny(Algorithm::Gbtr, 10)];
-    let scenarios = [MarketScenario::from_days(1, 42), MarketScenario::from_days(1, 77)];
-    let pools = scenarios.map(|scenario| (scenario, scenario.build()));
-    let start = SpotTuneConfig::default().start;
-    let mut campaigns = 0;
-    for workload in &workloads {
-        for kind in [SingleSpotKind::Cheapest, SingleSpotKind::Fastest] {
-            for seed in 0..10u64 {
-                for (scenario, pool) in &pools {
-                    let via_policy = request(Approach::SingleSpot(kind), workload, *scenario, seed)
-                        .run_serial(pool, &CurveCache::global());
-                    let reference = closed_form(kind, false, workload, pool, start, seed);
-                    assert_eq!(
-                        via_policy, reference,
-                        "SingleSpot({kind:?}) seed={seed} diverged from the closed form"
-                    );
-                    campaigns += 1;
-                }
-            }
-        }
-    }
-    assert_eq!(campaigns, 80);
-}
-
-/// 40 campaigns: 2 workloads × 2 kinds × 10 seeds.
-#[test]
-fn on_demand_policy_is_bit_identical_to_closed_form() {
-    let workloads = [tiny(Algorithm::LoR, 12), tiny(Algorithm::Gbtr, 10)];
-    let scenario = MarketScenario::from_days(1, 42);
-    let pool = scenario.build();
-    let start = SpotTuneConfig::default().start;
-    let mut campaigns = 0;
-    for workload in &workloads {
-        for kind in [SingleSpotKind::Cheapest, SingleSpotKind::Fastest] {
-            for seed in 0..10u64 {
-                let via_policy = request(Approach::OnDemand(kind), workload, scenario, seed)
-                    .run_serial(&pool, &CurveCache::global());
-                let reference = closed_form(kind, true, workload, &pool, start, seed);
-                assert_eq!(
-                    via_policy, reference,
-                    "OnDemand({kind:?}) seed={seed} diverged from the closed form"
-                );
-                // On-demand economics: refund-free by construction.
-                assert_eq!(via_policy.refunded, 0.0);
-                assert_eq!(via_policy.revocations, 0);
-                campaigns += 1;
-            }
-        }
-    }
-    assert_eq!(campaigns, 40);
 }
 
 /// The two related-work policies complete campaigns through the same
@@ -210,9 +62,6 @@ struct DefaultHooks<'a>(SpotTuneTheta<'a>);
 impl ProvisionPolicy for DefaultHooks<'_> {
     fn name(&self) -> String {
         self.0.name()
-    }
-    fn mode(&self) -> PolicyMode {
-        self.0.mode()
     }
     fn choose_instance(&mut self, ctx: &DeployCtx<'_>, rng: &mut StdRng) -> Placement {
         self.0.choose_instance(ctx, rng)

@@ -13,10 +13,16 @@ use spottune_mlsim::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
 const CLIENTS: u64 = 4;
 const CAMPAIGNS_PER_CLIENT: u64 = 16;
 const QUEUE_CAPACITY: u64 = 16;
+
+/// How long any one read from the server may block: a lost reply or a
+/// missing announce line fails the soak instead of hanging it.
+const PATIENCE: Duration = Duration::from_secs(30);
 
 fn request(id: u64) -> CampaignRequest {
     let base = Workload::benchmark(Algorithm::LoR);
@@ -31,7 +37,8 @@ fn request(id: u64) -> CampaignRequest {
 }
 
 /// Starts the binary on an ephemeral port and parses the address it
-/// announces on stdout.
+/// announces on stdout (read on a helper thread, waited for at most
+/// [`PATIENCE`]).
 fn spawn_server() -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_spottune-serve"))
         .args([
@@ -46,8 +53,21 @@ fn spawn_server() -> (Child, String) {
         .spawn()
         .expect("spawn spottune-serve");
     let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read announce line");
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut line = String::new();
+        let read = BufReader::new(stdout).read_line(&mut line).map(|_| line);
+        let _ = tx.send(read);
+    });
+    let line = match rx.recv_timeout(PATIENCE) {
+        Ok(read) => read.expect("read announce line"),
+        Err(_) => {
+            // Killing the child closes the pipe, so the reader ends too.
+            let _ = child.kill();
+            panic!("spottune-serve announced no address within {PATIENCE:?}");
+        }
+    };
+    reader.join().expect("announce reader");
     let addr = line
         .trim()
         .strip_prefix("listening on ")
@@ -66,6 +86,7 @@ fn soak_four_clients_with_chaos_then_graceful_exit() {
     // discard input the server has not read yet.
     {
         let stream = TcpStream::connect(&addr).expect("chaos connect");
+        stream.set_read_timeout(Some(PATIENCE)).expect("read timeout");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut stream = stream;
         stream.write_all(b"{\"mid-frame garbage\n").expect("garbage");
@@ -102,6 +123,7 @@ fn soak_four_clients_with_chaos_then_graceful_exit() {
     // dies with the rest of its replies in flight.
     {
         let mut flood = TcpStream::connect(&addr).expect("flood connect");
+        flood.set_read_timeout(Some(PATIENCE)).expect("read timeout");
         let mut replies = BufReader::new(flood.try_clone().expect("clone"));
         for id in 5_000..5_120u64 {
             let frame = spottune_core::wire::encode_request_frame(&request(id), None);
