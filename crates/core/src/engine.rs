@@ -515,14 +515,23 @@ impl Engine {
                     continue;
                 }
                 let Some(vm_id) = job.assigned else { continue };
-                // `t < recycle_tick ⟺ the strict one-hour comparison below
-                // is false`, so skip without the lookup.
+                // Before its first recycle tick `t < recycle_tick ⟺ the
+                // strict one-hour comparison below is false`; after the
+                // policy declined, the tick is the next ask an hour later.
+                // Either way skip without the lookup.
+                let hour = self.config.reschedule_after;
                 if t < job.recycle_tick {
                     debug_assert!(
                         provider.vm(vm_id).is_some_and(|vm| {
-                            t.since(vm.launched_at()) <= self.config.reschedule_after
+                            let first_ask = self.tick_after(vm.launched_at() + hour);
+                            if job.recycle_tick == first_ask {
+                                t.since(vm.launched_at()) <= hour
+                            } else {
+                                job.recycle_tick <= self.tick_at_or_after(t + hour)
+                            }
                         }),
-                        "a job short of its recycle tick is at most one hour old"
+                        "a job short of its recycle tick is at most one hour old \
+                         or its policy declined a recycle within the last hour"
                     );
                     continue;
                 }
@@ -531,28 +540,30 @@ impl Engine {
                     continue;
                 }
                 let age = t.since(vm.launched_at());
-                if age > self.config.reschedule_after && policy.should_checkpoint(job.hp_index, age)
-                {
-                    let inst = vm.instance().clone();
-                    let size = job.model_size_mb;
-                    if provider
-                        .fault_plan()
-                        .is_some_and(|p| p.checkpoint_fails(job.hp_index, t))
-                    {
-                        // Injected write failure: the upload time is burned,
-                        // the VM keeps running, and the recycle retries at a
-                        // later tick (a different instant hashes to a fresh
-                        // fault draw).
-                        job.overhead += transfer_time(&inst, size);
-                        continue;
-                    }
-                    let dur = store.put(&job.ckpt_key, size, &inst);
-                    job.overhead += dur;
-                    job.durable_steps = job.steps_done;
-                    let record = provider.terminate(t, vm_id);
-                    job.settle_vm_steps(record.was_free());
-                    events.push(TraceEvent::Recycled { job: job.hp_index, at: t });
+                if age <= hour {
+                    continue;
                 }
+                if !policy.should_checkpoint(job.hp_index, age) {
+                    // Declined: ask again an hour later, not at every tick.
+                    job.recycle_tick = self.tick_at_or_after(t + hour);
+                    continue;
+                }
+                let inst = vm.instance().clone();
+                let size = job.model_size_mb;
+                if provider.fault_plan().is_some_and(|p| p.checkpoint_fails(job.hp_index, t)) {
+                    // Injected write failure: the upload time is burned,
+                    // the VM keeps running, and the recycle retries at a
+                    // later tick (a different instant hashes to a fresh
+                    // fault draw).
+                    job.overhead += transfer_time(&inst, size);
+                    continue;
+                }
+                let dur = store.put(&job.ckpt_key, size, &inst);
+                job.overhead += dur;
+                job.durable_steps = job.steps_done;
+                let record = provider.terminate(t, vm_id);
+                job.settle_vm_steps(record.was_free());
+                events.push(TraceEvent::Recycled { job: job.hp_index, at: t });
             }
 
             // (4) (Re)deploy waiting jobs (Algorithm 1 lines 38–44). The
@@ -845,8 +856,9 @@ impl<'e> TransientExec<'e> {
     }
 
     /// The scalar prediction stage (Algorithm 1 line 50): one final-metric
-    /// extrapolation per job. The lane path computes exactly these values
-    /// through [`spottune_earlycurve::CurveLanes`] instead.
+    /// extrapolation per job, from the stage [`Job::extrapolation_stage`]
+    /// serves. The lane path evaluates the same stages through
+    /// [`spottune_earlycurve::CurveLanes`] instead.
     pub(crate) fn predict_scalar(&self, scratch: &EngineScratch) -> Vec<f64> {
         let cfg = &self.engine.config;
         scratch
@@ -858,7 +870,8 @@ impl<'e> TransientExec<'e> {
                 if cfg.theta >= 1.0 || j.finished == Some(FinishReason::ConvergedEarly) {
                     last
                 } else {
-                    j.curve.predict_final(self.max_steps).unwrap_or(last)
+                    let stage = j.extrapolation_stage(self.max_steps);
+                    stage.map_or(last, |s| s.predict(self.max_steps))
                 }
             })
             .collect()

@@ -1,7 +1,7 @@
 //! Per-configuration job state inside the orchestrator.
 
 use spottune_cloud::VmId;
-use spottune_earlycurve::{EarlyCurve, EarlyCurveConfig};
+use spottune_earlycurve::{EarlyCurve, EarlyCurveConfig, StageFit};
 use spottune_mlsim::{CurveCache, HpSetting, TrainingRun, Workload};
 use spottune_market::{SimDur, SimTime};
 
@@ -49,8 +49,9 @@ pub struct Job {
     /// grid ticks, maintained by the engine; meaningless while
     /// unassigned). `ready_tick`: first tick at/after `exec_ready_at`;
     /// `recycle_tick`: first tick strictly past the one-hour recycle
-    /// threshold; `step_complete_tick`: tick the in-flight step finishes
-    /// (valid while `current_spe` is `Some`).
+    /// threshold, or — once the policy declined a recycle at `t` — the
+    /// first tick at/after `t` plus one hour; `step_complete_tick`: tick
+    /// the in-flight step finishes (valid while `current_spe` is `Some`).
     pub ready_tick: SimTime,
     /// See [`Self::ready_tick`].
     pub recycle_tick: SimTime,
@@ -229,6 +230,31 @@ impl Job {
         self.curve.points().last().map(|&(_, m)| m)
     }
 
+    /// The stage the prediction of the final metric at `max_steps`
+    /// extrapolates from: the last stage of EarlyCurve's fit to the
+    /// observed history, or `None` under three points (exactly
+    /// `self.curve.fit()` and its extrapolation-stage selection). The
+    /// history is always a prefix of the job's deterministic curve, so the
+    /// fit comes from the curve tier's per-prefix memo
+    /// ([`TrainingRun::extrapolation_stage`]) instead of being refitted by
+    /// every campaign.
+    pub fn extrapolation_stage(&self, max_steps: u64) -> Option<StageFit> {
+        let points = self.curve.points();
+        debug_assert!(
+            (1..).zip(points).all(|(k, &(step, metric))| {
+                step == k && metric.to_bits() == self.run.metric_at(k).to_bits()
+            }),
+            "the observed history is a prefix of the job's curve"
+        );
+        debug_assert_eq!(
+            *self.curve.config(),
+            EarlyCurveConfig::default(),
+            "the memo fits with the default config"
+        );
+        debug_assert!(max_steps >= points.len() as u64, "the horizon is past the history");
+        self.run.extrapolation_stage(points.len())
+    }
+
     /// Rolls execution back to `captured` completed steps — what the
     /// checkpoint surviving the revocation actually covers. Steps past the
     /// captured point are counted lost and re-executed later; the metric
@@ -292,6 +318,51 @@ mod tests {
         j.roll_back_to(5);
         assert_eq!(j.lost_steps, 3);
         assert_eq!(j.steps_done, 5);
+    }
+
+    fn observe(j: &mut Job, upto: u64) {
+        for k in j.steps_done + 1..=upto {
+            let metric = j.run.metric_at(k);
+            j.curve.push(k, metric);
+            j.steps_done = k;
+        }
+    }
+
+    /// `job.extrapolation_stage` against a fresh fit of the job's own
+    /// history, by bits.
+    fn assert_memo_matches_fresh_fit(j: &Job, max_steps: u64) {
+        let bits = |s: Option<StageFit>| {
+            s.map(|s| (s.start, [s.a0, s.a1, s.a2, s.a3, s.mse].map(f64::to_bits)))
+        };
+        let fresh = j.curve.fit().map(|f| {
+            *spottune_earlycurve::kernel::extrapolation_stage(f.stages(), max_steps)
+        });
+        assert_eq!(bits(j.extrapolation_stage(max_steps)), bits(fresh), "{} steps", j.steps_done);
+    }
+
+    #[test]
+    fn memoized_stage_survives_truncate_and_reobserve() {
+        let w = Workload::benchmark(Algorithm::LiR);
+        let max_steps = w.max_trial_steps();
+        let cache = CurveCache::new();
+        let mut j = Job::new(&w, 6, 40, EarlyCurveConfig::default(), 21, &cache);
+        observe(&mut j, 40);
+        assert_memo_matches_fresh_fit(&j, max_steps);
+        let before = j.extrapolation_stage(max_steps).expect("40 points fit");
+        // A failed checkpoint rolls the history back; the shorter prefix
+        // is a prefix like any other.
+        j.roll_back_to(25);
+        assert_eq!(j.curve.len(), 25);
+        assert_memo_matches_fresh_fit(&j, max_steps);
+        // Re-executing the lost steps re-observes the same metrics, so
+        // the memo's stage for 40 points holds again.
+        observe(&mut j, 40);
+        assert_memo_matches_fresh_fit(&j, max_steps);
+        assert_eq!(j.extrapolation_stage(max_steps), Some(before));
+        // A later campaign over the same curve finds both prefixes memoized.
+        let mut again = Job::new(&w, 6, 40, EarlyCurveConfig::default(), 21, &cache);
+        observe(&mut again, 25);
+        assert_memo_matches_fresh_fit(&again, max_steps);
     }
 
     #[test]

@@ -193,7 +193,10 @@ pub trait ProvisionPolicy: std::fmt::Debug {
     /// refund boundary (Algorithm 1 line 31), and — since the grace-window
     /// model — on every revocation notice, regardless of age. Returning
     /// `false` keeps a recyclable VM running, or skips the notice-window
-    /// upload (equivalent to [`CheckpointPlan::Abandon`]). Defaults to
+    /// upload (equivalent to [`CheckpointPlan::Abandon`]). A declined
+    /// recycle is asked again at the first poll tick at or after one more
+    /// `reschedule_after` (an hour), not at every tick, so the answer for
+    /// a VM should not change within the hour after a `false`. Defaults to
     /// `true` — the paper's behaviour.
     fn should_checkpoint(&self, _hp_index: usize, _vm_age: SimDur) -> bool {
         true

@@ -14,19 +14,21 @@
 //!
 //! Bit-identity is by construction: lanes run *across* campaigns, so each
 //! job's prediction is still the exact scalar operation sequence of
-//! [`EarlyCurve::predict_final`] — fitting via the allocation-free
-//! [`EarlyCurve::fit_into`] (same arithmetic as `fit`), stage selection
-//! via [`extrapolation_stage`] (same scan as `StagedFit::predict`), and
-//! the rational-model evaluation via the lane kernel (same expression per
-//! lane, reordered only *between* independent jobs). The
-//! `batch_equivalence` and `soa_lanes` suites lock this.
+//! [`EarlyCurve::predict_final`] — the fit and its stage selection (same
+//! scan as `StagedFit::predict`) come from [`Job::extrapolation_stage`],
+//! and the rational-model evaluation from the lane kernel (same
+//! expression per lane, reordered only *between* independent jobs). A
+//! job's fit is not recomputed here: its history is a prefix of its
+//! deterministic curve, so the curve tier fits each (curve, prefix) once
+//! ([`TrainingRun::extrapolation_stage`]) and every campaign of every
+//! cohort that reaches the prefix reuses it. The `batch_equivalence`
+//! suite and this module's tests lock this.
 //!
 //! [`EarlyCurve::predict_final`]: spottune_earlycurve::EarlyCurve::predict_final
-//! [`EarlyCurve::fit_into`]: spottune_earlycurve::EarlyCurve::fit_into
-//! [`extrapolation_stage`]: spottune_earlycurve::kernel::extrapolation_stage
+//! [`TrainingRun::extrapolation_stage`]: spottune_mlsim::TrainingRun::extrapolation_stage
 
 use crate::job::{FinishReason, Job};
-use spottune_earlycurve::kernel::{extrapolation_stage, CurveLanes, FitScratch};
+use spottune_earlycurve::kernel::CurveLanes;
 
 /// Campaigns staged together through one lane barrier. Sized so a cohort's
 /// engine scratch stays cache-resident while still filling the 8-wide
@@ -55,7 +57,6 @@ pub struct JobLanes {
     /// Jobs pushed into kernel lanes since the last clear.
     pushed: usize,
     lanes: CurveLanes,
-    fit: FitScratch,
     /// Counter snapshot already handed to [`flush_counters`] callers.
     flushed: (u64, u64, u64),
 }
@@ -78,18 +79,18 @@ impl JobLanes {
 
     /// Stages one campaign's jobs (post phase 1) for the barrier: computes
     /// each job's fallback/take-last value and, for jobs that extrapolate,
-    /// fits the staged curve and parks the extrapolation stage's
-    /// coefficients in a kernel lane. Returns the campaign's scatter
-    /// handle.
+    /// parks the coefficients of its extrapolation stage
+    /// ([`Job::extrapolation_stage`], memoized per curve prefix) in a
+    /// kernel lane. Returns the campaign's scatter handle.
     pub fn gather(&mut self, jobs: &[Job], theta: f64, max_steps: u64) -> usize {
         let start = self.last.len();
         for job in jobs {
             let last = job.last_metric().unwrap_or(f64::INFINITY);
             let lane = if theta >= 1.0 || job.finished == Some(FinishReason::ConvergedEarly) {
                 NO_LANE
-            } else if job.curve.fit_into(&mut self.fit) {
+            } else if let Some(stage) = job.extrapolation_stage(max_steps) {
                 self.pushed += 1;
-                self.lanes.push(extrapolation_stage(self.fit.stages(), max_steps), max_steps)
+                self.lanes.push(&stage, max_steps)
             } else {
                 NO_LANE
             };

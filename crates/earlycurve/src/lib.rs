@@ -32,6 +32,24 @@
 //! ResNet-56's do. [`StageConfig::default`] therefore relaxes the
 //! thresholds to `ξ = 0.3`, `ε = 0.05`; window and minimum stage length
 //! stay the paper's.
+//!
+//! ## A fit is a pure function of (curve, prefix)
+//!
+//! [`EarlyCurve::fit`] reads nothing but its configuration and its points,
+//! and its arithmetic has no state across calls. In the simulator a job's
+//! points after `n` observed steps are exactly `(k, curve[k - 1])` for
+//! `k = 1..=n`, where `curve` is the configuration's deterministic metric
+//! curve — a rollback truncates the history and re-observes the same
+//! values. So the stage a prediction extrapolates from is a function of
+//! `(curve, n)` alone, and `spottune-mlsim`'s curve tier memoizes it per
+//! prefix for every campaign that reaches the same prefix. The engine
+//! asserts the three preconditions that make the memo exact at each
+//! lookup: the history is the curve's prefix (compared by `to_bits`), the
+//! configuration is [`EarlyCurveConfig::default`], and the horizon is at or
+//! past the last observed step — every stage of the fit starts at or
+//! before it, so [`kernel::extrapolation_stage`] picks the last stage for
+//! any such horizon (the engine's horizon is the curve's length,
+//! `max_trial_steps`).
 
 pub mod fit;
 pub mod kernel;

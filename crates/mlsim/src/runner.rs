@@ -1,5 +1,6 @@
 //! Unified training runs: one API over the real trainers and the
-//! staged-curve substrate, served from a shared tier of complete curves.
+//! staged-curve substrate, served from a shared tier of complete curves
+//! and the EarlyCurve fits over their prefixes.
 
 use crate::curve::{cnn_curve, CnnKind};
 use crate::dataset;
@@ -10,9 +11,11 @@ use crate::train::logreg::LogRegTrainer;
 use crate::train::svm::{Kernel, SvmTrainer};
 use crate::train::{LrSchedule, Trainer};
 use crate::workload::{Algorithm, Workload};
+use spottune_earlycurve::kernel::extrapolation_stage;
+use spottune_earlycurve::{EarlyCurve, EarlyCurveConfig, StageFit};
 use spottune_market::Tier;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Learning-rate calibration factor from Table II values to this harness's
 /// smaller synthetic datasets (keeps the *relative* HP structure intact;
@@ -39,8 +42,61 @@ const METRIC_SMOOTHING: f64 = 0.25;
 /// seed, configuration id).
 type CurveKey = (&'static str, u64, u64, String);
 
+/// One entry of the curve tier: a configuration's complete metric curve
+/// plus a memo of the EarlyCurve extrapolation stage fitted to its
+/// prefixes.
+///
+/// The memo is filled lazily, one slot per prefix length actually fitted
+/// (in a campaign sweep, one per distinct θ that ends phase 1 short of
+/// convergence), never one per step: each slot is a `(usize,
+/// Option<StageFit>)` pair of 64 bytes, and the lock and slot vector add
+/// 32 bytes per entry, beside the curve's 8 bytes per metric (480–3 200
+/// bytes for the benchmark budgets). An entry keeps roughly the size of
+/// its curve, so a tier's capacity bound keeps its memory meaning.
+#[derive(Debug)]
+pub struct CurveEntry {
+    metrics: Box<[f64]>,
+    /// `(n, stage)` sorted by `n`: the extrapolation stage of
+    /// EarlyCurve's default-configured fit to the first `n` metrics.
+    stages: Mutex<Vec<(usize, Option<StageFit>)>>,
+}
+
+impl CurveEntry {
+    fn new(metrics: Box<[f64]>) -> Self {
+        CurveEntry { metrics, stages: Mutex::new(Vec::new()) }
+    }
+
+    /// See [`TrainingRun::extrapolation_stage`]. A cold prefix is fitted
+    /// under the entry's lock, so racing lookups of one prefix fit it once.
+    fn extrapolation_stage(&self, n: usize) -> Option<StageFit> {
+        let mut stages = self.stages.lock().expect("curve memo lock");
+        match stages.binary_search_by_key(&n, |&(k, _)| k) {
+            Ok(i) => stages[i].1,
+            Err(i) => {
+                let stage = fit_prefix(&self.metrics, n);
+                stages.reserve_exact(1);
+                stages.insert(i, (n, stage));
+                stage
+            }
+        }
+    }
+}
+
+/// EarlyCurve's fit of the points `(k, metrics[k - 1])`, `k = 1..=n`, and
+/// the stage it extrapolates the end of the curve from (`None` under three
+/// points, where the fit is `None`).
+fn fit_prefix(metrics: &[f64], n: usize) -> Option<StageFit> {
+    let mut curve = EarlyCurve::new(EarlyCurveConfig::default());
+    for (k, &metric) in (1..).zip(&metrics[..n]) {
+        curve.push(k, metric);
+    }
+    let fit = curve.fit()?;
+    Some(*extrapolation_stage(fit.stages(), metrics.len() as u64))
+}
+
 /// The shared tier of complete metric curves: a [`Tier`] keyed by
-/// (algorithm, step budget, master seed, configuration id).
+/// (algorithm, step budget, master seed, configuration id), each entry a
+/// [`CurveEntry`] (the curve plus its per-prefix fit memo).
 ///
 /// Training runs are pure functions of their key, and every campaign
 /// evaluates the full curve of every configuration at least once (the
@@ -58,11 +114,15 @@ type CurveKey = (&'static str, u64, u64, String);
 /// An optional capacity bound ([`CurveCache::with_capacity`]) turns the
 /// tier into an LRU: many-seed sweeps touch a distinct curve set per master
 /// seed, so an unbounded memo grows linearly with the sweep.
+///
+/// Phase-1 predictions fit EarlyCurve to a prefix of the curve, and every
+/// campaign that reaches the same prefix would fit the same points; the
+/// entry's memo fits each prefix once (see [`CurveEntry`]).
 #[derive(Debug, Clone, Default)]
-pub struct CurveCache(Tier<CurveKey, Arc<[f64]>>);
+pub struct CurveCache(Tier<CurveKey, Arc<CurveEntry>>);
 
 impl Deref for CurveCache {
-    type Target = Tier<CurveKey, Arc<[f64]>>;
+    type Target = Tier<CurveKey, Arc<CurveEntry>>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
@@ -92,17 +152,23 @@ impl CurveCache {
     /// `max_trial_steps` metrics long: shared on a hit, built on a miss.
     /// `hp_id` must equal `hp.id()` — the job arena caches it per slot so a
     /// campaign reset never re-formats the setting.
-    pub fn get(&self, workload: &Workload, hp: &HpSetting, hp_id: String, seed: u64) -> Arc<[f64]> {
+    pub fn get(
+        &self,
+        workload: &Workload,
+        hp: &HpSetting,
+        hp_id: String,
+        seed: u64,
+    ) -> Arc<CurveEntry> {
         debug_assert_eq!(hp_id, hp.id(), "hp_id must be the setting's own id");
         let key = (workload.algorithm().name(), workload.max_trial_steps(), seed, hp_id);
-        self.0.get(key, |key| build_curve(workload, hp, key))
+        self.0.get(key, |key| Arc::new(CurveEntry::new(build_curve(workload, hp, key))))
     }
 }
 
 /// Runs one configuration to its step budget: the staged curve model for
 /// the CNN benchmarks, otherwise the real trainer with its reported metric
 /// EWMA-smoothed.
-fn build_curve(workload: &Workload, hp: &HpSetting, key: &CurveKey) -> Arc<[f64]> {
+fn build_curve(workload: &Workload, hp: &HpSetting, key: &CurveKey) -> Box<[f64]> {
     let (_, steps, seed, ref hp_id) = *key;
     // Only the trainers consume the derived per-configuration seed;
     // hashing the id already formatted into the key is exactly
@@ -174,12 +240,13 @@ fn build_curve(workload: &Workload, hp: &HpSetting, key: &CurveKey) -> Arc<[f64]
 }
 
 /// One (workload, configuration) training run: a read-only view of its
-/// complete metric curve in a [`CurveCache`], deterministic in `(workload,
-/// hp, seed)`, so checkpoint/restore in the simulator never recomputes or
-/// diverges.
+/// [`CurveEntry`] in a [`CurveCache`] — the complete metric curve and the
+/// memoized EarlyCurve fits over its prefixes — deterministic in
+/// `(workload, hp, seed)`, so checkpoint/restore in the simulator never
+/// recomputes or diverges.
 #[derive(Debug)]
 pub struct TrainingRun {
-    curve: Arc<[f64]>,
+    curve: Arc<CurveEntry>,
 }
 
 impl TrainingRun {
@@ -214,7 +281,7 @@ impl TrainingRun {
 
     /// The workload's `max_trial_steps`.
     pub fn max_steps(&self) -> u64 {
-        self.curve.len() as u64
+        self.curve.metrics.len() as u64
     }
 
     /// The metric after step `k` (1-based), clamped at `max_steps`.
@@ -224,7 +291,21 @@ impl TrainingRun {
     /// Panics if `k` is zero.
     pub fn metric_at(&self, k: u64) -> f64 {
         assert!(k > 0, "steps are 1-based");
-        self.curve[(k.min(self.max_steps()) - 1) as usize]
+        self.curve.metrics[(k.min(self.max_steps()) - 1) as usize]
+    }
+
+    /// The stage EarlyCurve ([`EarlyCurveConfig::default`]) extrapolates
+    /// from after observing the first `n` metrics of this run — what
+    /// `EarlyCurve::fit` of the points `(k, metric_at(k))`, `k = 1..=n`,
+    /// selects for any horizon at or past `n` — or `None` under three
+    /// points. Memoized per prefix in the run's curve-tier entry, so every
+    /// campaign that reaches `n` shares one fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`TrainingRun::max_steps`].
+    pub fn extrapolation_stage(&self, n: usize) -> Option<StageFit> {
+        self.curve.extrapolation_stage(n)
     }
 
     /// Ground-truth final metric at `max_trial_steps`.
@@ -387,6 +468,90 @@ mod tests {
         // seven found it and waited on the same cell.
         assert_eq!(tier.stats(), CacheStats { hits: 7, misses: 1, evictions: 0 });
         assert!(finals.iter().all(|f| f.to_bits() == finals[0].to_bits()));
+    }
+
+    /// A fresh fit of the first `n` points of `run` through EarlyCurve,
+    /// pushed one point at a time as the engine observes them.
+    fn fresh_stages(run: &TrainingRun) -> Vec<Option<StageFit>> {
+        let mut curve = EarlyCurve::new(EarlyCurveConfig::default());
+        let mut stages = vec![None];
+        for k in 1..=run.max_steps() {
+            curve.push(k, run.metric_at(k));
+            let fit = curve.fit();
+            stages.push(fit.map(|f| *extrapolation_stage(f.stages(), run.max_steps())));
+        }
+        stages
+    }
+
+    fn stage_bits(stage: Option<StageFit>) -> Option<(u64, [u64; 5])> {
+        stage.map(|s| (s.start, [s.a0, s.a1, s.a2, s.a3, s.mse].map(f64::to_bits)))
+    }
+
+    #[test]
+    fn memoized_stages_match_fresh_fits_at_every_prefix() {
+        let tier = CurveCache::new();
+        for algorithm in Algorithm::all() {
+            if algorithm == Algorithm::Svm {
+                continue; // 400-step curves: the slowest, and no new code path
+            }
+            let w = Workload::benchmark(algorithm);
+            for seed in [3, 42] {
+                for hp in w.hp_grid() {
+                    let run = TrainingRun::with_cache(&w, hp, seed, &tier);
+                    let fresh = fresh_stages(&run);
+                    for (n, want) in fresh.into_iter().enumerate() {
+                        let got = run.extrapolation_stage(n);
+                        assert_eq!(
+                            stage_bits(got),
+                            stage_bits(want),
+                            "{algorithm} seed {seed} {} prefix {n}",
+                            hp.id()
+                        );
+                        // A second lookup is a hit that returns the same bits.
+                        assert_eq!(stage_bits(run.extrapolation_stage(n)), stage_bits(want));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_fills_only_the_prefixes_fitted() {
+        let w = Workload::benchmark(Algorithm::Gbtr);
+        let run = TrainingRun::with_cache(&w, &w.hp_grid()[5], 8, &CurveCache::new());
+        for n in [42, 2, 42, 18] {
+            run.extrapolation_stage(n);
+        }
+        let memo = run.curve.stages.lock().expect("memo");
+        assert_eq!(memo.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [2, 18, 42]);
+        assert!(memo[0].1.is_none(), "two points do not fit");
+        assert_eq!(std::mem::size_of_val(&memo[0]), 64, "one slot per fitted prefix");
+        assert_eq!(memo.capacity(), 3, "and no spare slots");
+    }
+
+    #[test]
+    fn racing_one_cold_prefix_yields_identical_stages() {
+        let w = Workload::benchmark(Algorithm::ResNet);
+        let tier = CurveCache::new();
+        let hp = &w.hp_grid()[9];
+        let start = std::sync::Barrier::new(2);
+        let stages: Vec<_> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let run = TrainingRun::with_cache(&w, hp, 5, &tier);
+                        start.wait();
+                        run.extrapolation_stage(70)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer")).collect()
+        });
+        let run = TrainingRun::with_cache(&w, hp, 5, &tier);
+        assert_eq!(run.curve.stages.lock().expect("memo").len(), 1, "one fit, one slot");
+        let want = fresh_stages(&run)[70];
+        assert!(want.is_some());
+        assert!(stages.iter().all(|&got| stage_bits(got) == stage_bits(want)));
     }
 
     #[test]

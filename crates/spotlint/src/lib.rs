@@ -34,6 +34,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "crates/market",
     "crates/revpred",
     "crates/earlycurve",
+    "crates/mlsim",
 ];
 
 /// Crates additionally checked for exact float equality (D3).
