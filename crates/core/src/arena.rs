@@ -17,7 +17,6 @@
 
 use crate::engine::TraceEvent;
 use crate::job::Job;
-use spottune_earlycurve::EarlyCurveConfig;
 use spottune_mlsim::{CurveCache, Workload};
 
 /// Flat, slot-reusing store of per-configuration job state.
@@ -40,24 +39,22 @@ impl JobArena {
     /// when the arena last served the same workload, rebuilt otherwise.
     /// Either way the returned state is exactly what `Job::new` per grid
     /// point would produce.
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare(
         &mut self,
         workload: &Workload,
         target_steps: u64,
-        ec_config: EarlyCurveConfig,
         seed: u64,
         curve_cache: &CurveCache,
     ) -> &mut [Job] {
         let reusable = self.workload.as_ref() == Some(workload);
         if reusable {
             for job in &mut self.slots {
-                job.reset(workload, target_steps, ec_config, seed, curve_cache);
+                job.reset(workload, target_steps, seed, curve_cache);
             }
         } else {
             self.slots.clear();
             self.slots.extend((0..workload.hp_grid().len()).map(|i| {
-                Job::new(workload, i, target_steps, ec_config, seed, curve_cache)
+                Job::new(workload, i, target_steps, seed, curve_cache)
             }));
             self.workload = Some(workload.clone());
         }
@@ -112,19 +109,18 @@ mod tests {
     fn reused_slots_match_fresh_jobs() {
         let cache = CurveCache::new();
         let w = Workload::benchmark(Algorithm::LoR);
-        let ec = EarlyCurveConfig::default();
         let mut arena = JobArena::new();
         // Dirty the slots with a first campaign's worth of mutation.
-        for job in arena.prepare(&w, 10, ec, 1, &cache).iter_mut() {
+        for job in arena.prepare(&w, 10, 1, &cache).iter_mut() {
             job.steps_done = 5;
             job.curve.push(5, 0.5);
             job.halted = true;
             job.lost_steps = 3;
             job.step_carry = 0.25;
         }
-        let reused = arena.prepare(&w, 20, ec, 2, &cache);
+        let reused = arena.prepare(&w, 20, 2, &cache);
         for (i, job) in reused.iter().enumerate() {
-            let fresh = Job::new(&w, i, 20, ec, 2, &cache);
+            let fresh = Job::new(&w, i, 20, 2, &cache);
             assert_eq!(job.hp_index, fresh.hp_index);
             assert_eq!(job.ckpt_key, fresh.ckpt_key);
             assert_eq!(job.steps_done, 0);
@@ -143,14 +139,13 @@ mod tests {
     #[test]
     fn workload_change_rebuilds_slots() {
         let cache = CurveCache::new();
-        let ec = EarlyCurveConfig::default();
         let mut arena = JobArena::new();
         let a = Workload::benchmark(Algorithm::LoR);
         let b = Workload::benchmark(Algorithm::Gbtr);
-        let n_a = arena.prepare(&a, 10, ec, 1, &cache).len();
+        let n_a = arena.prepare(&a, 10, 1, &cache).len();
         assert_eq!(n_a, a.hp_grid().len());
         assert_eq!(arena.len(), n_a);
-        let slots = arena.prepare(&b, 10, ec, 1, &cache);
+        let slots = arena.prepare(&b, 10, 1, &cache);
         assert_eq!(slots.len(), b.hp_grid().len());
         for (i, job) in slots.iter().enumerate() {
             assert!(job.ckpt_key.contains(b.algorithm().name()), "slot {i} rebuilt");

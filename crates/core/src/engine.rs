@@ -36,9 +36,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spottune_cloud::storage::{checkpoint_speed_mbps, transfer_time};
 use spottune_cloud::{CloudEvent, CloudProvider, FaultPlan, ObjectStore, VmId};
-use spottune_earlycurve::EarlyCurveConfig;
 use spottune_market::{MarketPool, PoolSpine, SimDur, SimTime};
-use spottune_mlsim::{CurveCache, PerfModel, Workload};
+use spottune_mlsim::{CurveCache, PerfModel, PrefixScratch, Workload};
 use std::sync::Arc;
 
 /// One entry of the campaign timeline (the lifecycle of paper Fig. 4).
@@ -804,13 +803,7 @@ impl<'e> TransientExec<'e> {
         let matrix = PerfMatrix::new(cfg.c0, cfg.ewma_alpha);
         let rng = StdRng::seed_from_u64(cfg.seed ^ ORCH_SALT);
         scratch.events.clear();
-        scratch.arena.prepare(
-            &engine.workload,
-            target,
-            EarlyCurveConfig::default(),
-            cfg.seed,
-            &engine.curve_cache,
-        );
+        scratch.arena.prepare(&engine.workload, target, cfg.seed, &engine.curve_cache);
         // True seconds-per-step means per (market, configuration): the
         // model is deterministic, so derive it once per campaign instead of
         // hashing names and re-reading string-keyed hyper-parameters on
@@ -861,6 +854,7 @@ impl<'e> TransientExec<'e> {
     /// [`spottune_earlycurve::CurveLanes`] instead.
     pub(crate) fn predict_scalar(&self, scratch: &EngineScratch) -> Vec<f64> {
         let cfg = &self.engine.config;
+        let mut fit = PrefixScratch::new();
         scratch
             .arena
             .slots()
@@ -870,7 +864,7 @@ impl<'e> TransientExec<'e> {
                 if cfg.theta >= 1.0 || j.finished == Some(FinishReason::ConvergedEarly) {
                     last
                 } else {
-                    let stage = j.extrapolation_stage(self.max_steps);
+                    let stage = j.extrapolation_stage(self.max_steps, &mut fit);
                     stage.map_or(last, |s| s.predict(self.max_steps))
                 }
             })
@@ -1018,6 +1012,8 @@ mod tests {
     use crate::campaign::SingleSpotKind;
     use crate::policy::{OnDemand, SingleSpot, SpotTuneTheta};
     use crate::provision::OracleEstimator;
+    use spottune_earlycurve::kernel::extrapolation_stage;
+    use spottune_earlycurve::StageFit;
     use spottune_mlsim::Algorithm;
 
     fn small_workload() -> Workload {
@@ -1128,5 +1124,128 @@ mod tests {
         // θ=1 semantics carry over: predictions are the actual finals.
         assert_eq!(od.predicted_finals, spot.predicted_finals);
         assert!(od.top1_hit());
+    }
+
+    /// Single-Spot placement (never revoked) whose recycle answer depends
+    /// on the VM's age, as a stateful policy's may: it declines until
+    /// `recycle_at` and logs every ask.
+    #[derive(Debug)]
+    struct RecycleAtAge {
+        placement: SingleSpot,
+        recycle_at: SimDur,
+        asks: std::cell::RefCell<Vec<(usize, SimDur)>>,
+    }
+
+    impl ProvisionPolicy for RecycleAtAge {
+        fn name(&self) -> String {
+            "recycle-at-age".to_string()
+        }
+
+        fn choose_instance(&mut self, ctx: &DeployCtx<'_>, rng: &mut StdRng) -> Placement {
+            self.placement.choose_instance(ctx, rng)
+        }
+
+        fn should_checkpoint(&self, hp_index: usize, vm_age: SimDur) -> bool {
+            self.asks.borrow_mut().push((hp_index, vm_age));
+            vm_age >= self.recycle_at
+        }
+    }
+
+    #[test]
+    fn a_declined_recycle_is_asked_again_an_hour_later() {
+        let base = Workload::benchmark(Algorithm::LoR);
+        let w = Workload::custom(Algorithm::LoR, 120, base.hp_grid()[..2].to_vec());
+        let pool = MarketPool::standard(SimDur::from_days(10), 42);
+        let cfg = SpotTuneConfig {
+            start: SimTime::from_hours(2),
+            ..SpotTuneConfig::new(1.0, 1).with_seed(1)
+        };
+        let (hour, poll) = (cfg.reschedule_after, cfg.poll_interval);
+        let mut policy = RecycleAtAge {
+            placement: SingleSpot::new(SingleSpotKind::Cheapest),
+            recycle_at: SimDur::from_mins(90),
+            asks: Default::default(),
+        };
+        let (_, events) = Engine::new(cfg, w.clone(), pool).run_traced(&mut policy);
+        let asks = policy.asks.into_inner();
+        for job in 0..w.hp_grid().len() {
+            let deployed: Vec<SimTime> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Deployed { job: j, at, .. } if j == job => Some(at),
+                    _ => None,
+                })
+                .collect();
+            let recycled: Vec<SimTime> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Recycled { job: j, at } if j == job => Some(at),
+                    _ => None,
+                })
+                .collect();
+            let ages: Vec<SimDur> =
+                asks.iter().filter(|&&(j, _)| j == job).map(|&(_, age)| age).collect();
+            assert!(!recycled.is_empty(), "job {job} outlives a VM's first two hours");
+            // Every recycled VM is asked twice: at the first tick past its
+            // first hour (declined), then exactly one hour later
+            // (accepted), and that second ask's tick is the recycle — up
+            // to 40 min after the age threshold, not at it.
+            for (vm, &at) in recycled.iter().enumerate() {
+                let (declined, accepted) = (ages[2 * vm], ages[2 * vm + 1]);
+                assert!(declined > hour && declined <= hour + poll, "job {job} VM {vm}");
+                assert_eq!(accepted, declined + hour, "job {job} VM {vm}");
+                // The VM boots shortly after its deployment tick and is
+                // `accepted` old when it is recycled.
+                let boot = at.since(deployed[vm]).as_secs() - accepted.as_secs();
+                assert!(boot < 60, "job {job} VM {vm}: recycled {boot} s late");
+            }
+            // The VM the job finishes on is asked at most as often.
+            assert!(ages.len() <= 2 * recycled.len() + 2, "job {job}: {} asks", ages.len());
+        }
+    }
+
+    /// The prediction stage reads each job's extrapolation stage from the
+    /// curve tier's per-prefix memo. At the moment of prediction that
+    /// stage must equal a fresh fit of the job's own history, whichever
+    /// campaign filled the memo: the same curves reached at other prefixes
+    /// (other θ) and at the same prefix (a repeated θ, a hit).
+    #[test]
+    fn memoized_stages_equal_fresh_fits_at_prediction() {
+        let bits = |s: Option<StageFit>| {
+            s.map(|s| (s.start, [s.a0, s.a1, s.a2, s.a3, s.mse].map(f64::to_bits)))
+        };
+        let pool = MarketPool::standard(SimDur::from_days(10), 42);
+        let oracle = OracleEstimator::new(pool.clone(), 0.9);
+        let cache = CurveCache::new();
+        let w = small_workload();
+        let max_steps = w.max_trial_steps();
+        let mut fitted = 0;
+        for (theta, seed) in [(0.3, 7), (0.7, 7), (0.3, 7), (0.5, 8), (0.7, 7)] {
+            let cfg = SpotTuneConfig::new(theta, 2).with_seed(seed);
+            let mut policy = SpotTuneTheta::new(&oracle, cfg.delta_range, cfg.theta);
+            let engine =
+                Engine::new(cfg, w.clone(), pool.clone()).with_curve_cache(cache.clone());
+            let mut scratch = EngineScratch::new();
+            let mut exec = TransientExec::new(&engine, &mut scratch);
+            exec.phase1(&mut policy, &mut scratch);
+            let mut fit = PrefixScratch::new();
+            for job in scratch.arena.slots() {
+                let fresh = job.curve.fit();
+                let want = fresh.as_ref().map(|f| *extrapolation_stage(f.stages(), max_steps));
+                let got = job.extrapolation_stage(max_steps, &mut fit);
+                assert_eq!(bits(got), bits(want), "θ {theta} seed {seed} job {}", job.hp_index);
+                fitted += usize::from(want.is_some());
+            }
+            // And the scalar prediction is EarlyCurve's own.
+            let predicted = exec.predict_scalar(&scratch);
+            for (job, got) in scratch.arena.slots().iter().zip(predicted) {
+                if job.finished != Some(FinishReason::ConvergedEarly) {
+                    let last = job.last_metric().unwrap_or(f64::INFINITY);
+                    let want = job.curve.predict_final(max_steps).unwrap_or(last);
+                    assert_eq!(got.to_bits(), want.to_bits(), "θ {theta} job {}", job.hp_index);
+                }
+            }
+        }
+        assert!(fitted >= 10, "{fitted} jobs extrapolated");
     }
 }

@@ -2,7 +2,7 @@
 
 use spottune_cloud::VmId;
 use spottune_earlycurve::{EarlyCurve, EarlyCurveConfig, StageFit};
-use spottune_mlsim::{CurveCache, HpSetting, TrainingRun, Workload};
+use spottune_mlsim::{CurveCache, HpSetting, PrefixScratch, TrainingRun, Workload};
 use spottune_market::{SimDur, SimTime};
 
 /// Why a job stopped iterating.
@@ -35,7 +35,8 @@ pub struct Job {
     pub model_size_mb: f64,
     /// Lazily advanced metric source.
     pub run: TrainingRun,
-    /// Observed metric history feeding EarlyCurve.
+    /// Observed metric history feeding EarlyCurve, always with the
+    /// default config: the one the curve tier's fit memo serves.
     pub curve: EarlyCurve,
     /// Completed validation steps.
     pub steps_done: u64,
@@ -111,7 +112,6 @@ impl Job {
         workload: &Workload,
         hp_index: usize,
         target_steps: u64,
-        ec_config: EarlyCurveConfig,
         seed: u64,
         curve_cache: &CurveCache,
     ) -> Self {
@@ -124,7 +124,7 @@ impl Job {
             run: TrainingRun::with_cache_keyed(workload, &hp, hp_id.clone(), seed, curve_cache),
             hp,
             hp_id,
-            curve: EarlyCurve::new(ec_config),
+            curve: EarlyCurve::new(EarlyCurveConfig::default()),
             steps_done: 0,
             target_steps,
             assigned: None,
@@ -162,7 +162,6 @@ impl Job {
         &mut self,
         workload: &Workload,
         target_steps: u64,
-        ec_config: EarlyCurveConfig,
         seed: u64,
         curve_cache: &CurveCache,
     ) {
@@ -173,7 +172,7 @@ impl Job {
             seed,
             curve_cache,
         );
-        self.curve.reset(ec_config);
+        self.curve.reset(EarlyCurveConfig::default());
         self.steps_done = 0;
         self.target_steps = target_steps;
         self.assigned = None;
@@ -236,9 +235,13 @@ impl Job {
     /// `self.curve.fit()` and its extrapolation-stage selection). The
     /// history is always a prefix of the job's deterministic curve, so the
     /// fit comes from the curve tier's per-prefix memo
-    /// ([`TrainingRun::extrapolation_stage`]) instead of being refitted by
-    /// every campaign.
-    pub fn extrapolation_stage(&self, max_steps: u64) -> Option<StageFit> {
+    /// ([`TrainingRun::extrapolation_stage`]; a miss fits through
+    /// `scratch`) instead of being refitted by every campaign.
+    pub fn extrapolation_stage(
+        &self,
+        max_steps: u64,
+        scratch: &mut PrefixScratch,
+    ) -> Option<StageFit> {
         let points = self.curve.points();
         debug_assert!(
             (1..).zip(points).all(|(k, &(step, metric))| {
@@ -246,13 +249,8 @@ impl Job {
             }),
             "the observed history is a prefix of the job's curve"
         );
-        debug_assert_eq!(
-            *self.curve.config(),
-            EarlyCurveConfig::default(),
-            "the memo fits with the default config"
-        );
         debug_assert!(max_steps >= points.len() as u64, "the horizon is past the history");
-        self.run.extrapolation_stage(points.len())
+        self.run.extrapolation_stage(points.len(), scratch)
     }
 
     /// Rolls execution back to `captured` completed steps — what the
@@ -275,7 +273,7 @@ mod tests {
 
     fn job() -> Job {
         let w = Workload::benchmark(Algorithm::LoR);
-        Job::new(&w, 0, 10, EarlyCurveConfig::default(), 1, &CurveCache::global())
+        Job::new(&w, 0, 10, 1, &CurveCache::global())
     }
 
     #[test]
@@ -337,7 +335,8 @@ mod tests {
         let fresh = j.curve.fit().map(|f| {
             *spottune_earlycurve::kernel::extrapolation_stage(f.stages(), max_steps)
         });
-        assert_eq!(bits(j.extrapolation_stage(max_steps)), bits(fresh), "{} steps", j.steps_done);
+        let memo = j.extrapolation_stage(max_steps, &mut PrefixScratch::new());
+        assert_eq!(bits(memo), bits(fresh), "{} steps", j.steps_done);
     }
 
     #[test]
@@ -345,10 +344,11 @@ mod tests {
         let w = Workload::benchmark(Algorithm::LiR);
         let max_steps = w.max_trial_steps();
         let cache = CurveCache::new();
-        let mut j = Job::new(&w, 6, 40, EarlyCurveConfig::default(), 21, &cache);
+        let mut j = Job::new(&w, 6, 40, 21, &cache);
         observe(&mut j, 40);
         assert_memo_matches_fresh_fit(&j, max_steps);
-        let before = j.extrapolation_stage(max_steps).expect("40 points fit");
+        let mut scratch = PrefixScratch::new();
+        let before = j.extrapolation_stage(max_steps, &mut scratch).expect("40 points fit");
         // A failed checkpoint rolls the history back; the shorter prefix
         // is a prefix like any other.
         j.roll_back_to(25);
@@ -358,9 +358,9 @@ mod tests {
         // the memo's stage for 40 points holds again.
         observe(&mut j, 40);
         assert_memo_matches_fresh_fit(&j, max_steps);
-        assert_eq!(j.extrapolation_stage(max_steps), Some(before));
+        assert_eq!(j.extrapolation_stage(max_steps, &mut scratch), Some(before));
         // A later campaign over the same curve finds both prefixes memoized.
-        let mut again = Job::new(&w, 6, 40, EarlyCurveConfig::default(), 21, &cache);
+        let mut again = Job::new(&w, 6, 40, 21, &cache);
         observe(&mut again, 25);
         assert_memo_matches_fresh_fit(&again, max_steps);
     }

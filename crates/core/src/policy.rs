@@ -195,9 +195,11 @@ pub trait ProvisionPolicy: std::fmt::Debug {
     /// `false` keeps a recyclable VM running, or skips the notice-window
     /// upload (equivalent to [`CheckpointPlan::Abandon`]). A declined
     /// recycle is asked again at the first poll tick at or after one more
-    /// `reschedule_after` (an hour), not at every tick, so the answer for
-    /// a VM should not change within the hour after a `false`. Defaults to
-    /// `true` — the paper's behaviour.
+    /// `reschedule_after` (an hour), not at every tick: a policy sees at
+    /// most one recycle ask per VM-hour, so one whose answer turns `true`
+    /// within the hour after a `false` (an age threshold, state updated by
+    /// `on_progress`) recycles at the next ask, up to an hour late.
+    /// Defaults to `true` — the paper's behaviour.
     fn should_checkpoint(&self, _hp_index: usize, _vm_age: SimDur) -> bool {
         true
     }

@@ -18,17 +18,20 @@
 //! scan as `StagedFit::predict`) come from [`Job::extrapolation_stage`],
 //! and the rational-model evaluation from the lane kernel (same
 //! expression per lane, reordered only *between* independent jobs). A
-//! job's fit is not recomputed here: its history is a prefix of its
-//! deterministic curve, so the curve tier fits each (curve, prefix) once
-//! ([`TrainingRun::extrapolation_stage`]) and every campaign of every
-//! cohort that reaches the prefix reuses it. The `batch_equivalence`
-//! suite and this module's tests lock this.
+//! job's fit is not recomputed per campaign: its history is a prefix of
+//! its deterministic curve, so the curve tier fits each (curve, prefix)
+//! once ([`TrainingRun::extrapolation_stage`]), through the allocation-free
+//! [`EarlyCurve::fit_into`] on the lanes' reused [`PrefixScratch`], and
+//! every campaign of every cohort that reaches the prefix reuses it. The
+//! `batch_equivalence` suite and this module's tests lock this.
 //!
 //! [`EarlyCurve::predict_final`]: spottune_earlycurve::EarlyCurve::predict_final
+//! [`EarlyCurve::fit_into`]: spottune_earlycurve::EarlyCurve::fit_into
 //! [`TrainingRun::extrapolation_stage`]: spottune_mlsim::TrainingRun::extrapolation_stage
 
 use crate::job::{FinishReason, Job};
 use spottune_earlycurve::kernel::CurveLanes;
+use spottune_mlsim::PrefixScratch;
 
 /// Campaigns staged together through one lane barrier. Sized so a cohort's
 /// engine scratch stays cache-resident while still filling the 8-wide
@@ -57,6 +60,8 @@ pub struct JobLanes {
     /// Jobs pushed into kernel lanes since the last clear.
     pushed: usize,
     lanes: CurveLanes,
+    /// Fit buffers for the memo misses of every gathered job.
+    fit: PrefixScratch,
     /// Counter snapshot already handed to [`flush_counters`] callers.
     flushed: (u64, u64, u64),
 }
@@ -88,7 +93,7 @@ impl JobLanes {
             let last = job.last_metric().unwrap_or(f64::INFINITY);
             let lane = if theta >= 1.0 || job.finished == Some(FinishReason::ConvergedEarly) {
                 NO_LANE
-            } else if let Some(stage) = job.extrapolation_stage(max_steps) {
+            } else if let Some(stage) = job.extrapolation_stage(max_steps, &mut self.fit) {
                 self.pushed += 1;
                 self.lanes.push(&stage, max_steps)
             } else {
@@ -147,7 +152,6 @@ impl JobLanes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spottune_earlycurve::EarlyCurveConfig;
     use spottune_mlsim::{Algorithm, CurveCache, Workload};
 
     fn jobs_with_history(seed: u64, steps: u64) -> Vec<Job> {
@@ -155,7 +159,7 @@ mod tests {
         let cache = CurveCache::new();
         (0..w.hp_grid().len())
             .map(|i| {
-                let mut job = Job::new(&w, i, steps, EarlyCurveConfig::default(), seed, &cache);
+                let mut job = Job::new(&w, i, steps, seed, &cache);
                 for k in 1..=steps {
                     let metric = job.run.metric_at(k);
                     job.curve.push(k, metric);

@@ -42,14 +42,17 @@
 //! curve — a rollback truncates the history and re-observes the same
 //! values. So the stage a prediction extrapolates from is a function of
 //! `(curve, n)` alone, and `spottune-mlsim`'s curve tier memoizes it per
-//! prefix for every campaign that reaches the same prefix. The engine
-//! asserts the three preconditions that make the memo exact at each
-//! lookup: the history is the curve's prefix (compared by `to_bits`), the
-//! configuration is [`EarlyCurveConfig::default`], and the horizon is at or
-//! past the last observed step — every stage of the fit starts at or
-//! before it, so [`kernel::extrapolation_stage`] picks the last stage for
-//! any such horizon (the engine's horizon is the curve's length,
-//! `max_trial_steps`).
+//! prefix for every campaign that reaches the same prefix. Three
+//! preconditions make the memo exact. The history is the curve's prefix:
+//! the engine asserts it at each lookup, by `to_bits`. The configuration
+//! is [`EarlyCurveConfig::default`]: a job has no other (its constructor
+//! takes none) and the memo fits with it too. The horizon is at or past
+//! the last observed step, also asserted at each lookup: every stage of
+//! the fit starts at or before that step, so
+//! [`kernel::extrapolation_stage`] picks the last stage for any such
+//! horizon (the engine's horizon is the curve's length,
+//! `max_trial_steps`). A miss fits through [`EarlyCurve::fit_into`] on
+//! reused buffers, so it costs what a per-campaign fit did.
 
 pub mod fit;
 pub mod kernel;

@@ -121,11 +121,6 @@ impl EarlyCurve {
         &self.points
     }
 
-    /// The configuration every fit of this history uses.
-    pub fn config(&self) -> &EarlyCurveConfig {
-        &self.config
-    }
-
     /// Discards every observation, keeping the allocation. Equivalent to
     /// `*self = EarlyCurve::new(config)` — used by the batch engine's job
     /// arena to reuse a slot across campaigns without reallocating.

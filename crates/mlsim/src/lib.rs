@@ -73,7 +73,7 @@ pub mod workload;
 
 pub use hp::{HpSetting, HpValue};
 pub use perf::PerfModel;
-pub use runner::{CurveCache, TrainingRun};
+pub use runner::{CurveCache, PrefixScratch, TrainingRun};
 pub use workload::{Algorithm, Workload};
 
 /// Convenient glob-import surface.
@@ -82,7 +82,8 @@ pub mod prelude {
     pub use crate::hp::{expand_grid, GridAxis, HpSetting, HpValue};
     pub use crate::perf::PerfModel;
     pub use crate::runner::{
-        ground_truth_finals, ground_truth_finals_with_cache, CurveCache, TrainingRun,
+        ground_truth_finals, ground_truth_finals_with_cache, CurveCache, PrefixScratch,
+        TrainingRun,
     };
     pub use crate::train::{LrSchedule, Trainer};
     pub use crate::workload::{Algorithm, Workload};

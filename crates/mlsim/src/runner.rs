@@ -11,11 +11,11 @@ use crate::train::logreg::LogRegTrainer;
 use crate::train::svm::{Kernel, SvmTrainer};
 use crate::train::{LrSchedule, Trainer};
 use crate::workload::{Algorithm, Workload};
-use spottune_earlycurve::kernel::extrapolation_stage;
+use spottune_earlycurve::kernel::{extrapolation_stage, FitScratch};
 use spottune_earlycurve::{EarlyCurve, EarlyCurveConfig, StageFit};
 use spottune_market::Tier;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Learning-rate calibration factor from Table II values to this harness's
 /// smaller synthetic datasets (keeps the *relative* HP structure intact;
@@ -50,7 +50,7 @@ type CurveKey = (&'static str, u64, u64, String);
 /// (in a campaign sweep, one per distinct θ that ends phase 1 short of
 /// convergence), never one per step: each slot is a `(usize,
 /// Option<StageFit>)` pair of 64 bytes, and the lock and slot vector add
-/// 32 bytes per entry, beside the curve's 8 bytes per metric (480–3 200
+/// 40 bytes per entry, beside the curve's 8 bytes per metric (480–3 200
 /// bytes for the benchmark budgets). An entry keeps roughly the size of
 /// its curve, so a tier's capacity bound keeps its memory meaning.
 #[derive(Debug)]
@@ -58,22 +58,34 @@ pub struct CurveEntry {
     metrics: Box<[f64]>,
     /// `(n, stage)` sorted by `n`: the extrapolation stage of
     /// EarlyCurve's default-configured fit to the first `n` metrics.
-    stages: Mutex<Vec<(usize, Option<StageFit>)>>,
+    stages: RwLock<Vec<(usize, Option<StageFit>)>>,
 }
 
 impl CurveEntry {
     fn new(metrics: Box<[f64]>) -> Self {
-        CurveEntry { metrics, stages: Mutex::new(Vec::new()) }
+        CurveEntry { metrics, stages: RwLock::new(Vec::new()) }
     }
 
-    /// See [`TrainingRun::extrapolation_stage`]. A cold prefix is fitted
-    /// under the entry's lock, so racing lookups of one prefix fit it once.
-    fn extrapolation_stage(&self, n: usize) -> Option<StageFit> {
-        let mut stages = self.stages.lock().expect("curve memo lock");
-        match stages.binary_search_by_key(&n, |&(k, _)| k) {
+    /// See [`TrainingRun::extrapolation_stage`]. A hit takes the read
+    /// lock only. A cold prefix is fitted outside the lock and inserted
+    /// under the write lock; lookups racing on one cold prefix may each
+    /// fit it, but the fit is a pure function of the prefix, so they
+    /// return the same bits and the first insert is the one kept.
+    fn extrapolation_stage(&self, n: usize, scratch: &mut PrefixScratch) -> Option<StageFit> {
+        let find = |stages: &[(usize, Option<StageFit>)]| {
+            stages.binary_search_by_key(&n, |&(k, _)| k)
+        };
+        {
+            let stages = self.stages.read().expect("curve memo lock");
+            if let Ok(i) = find(&stages) {
+                return stages[i].1;
+            }
+        }
+        let stage = scratch.fit(&self.metrics, n);
+        let mut stages = self.stages.write().expect("curve memo lock");
+        match find(&stages) {
             Ok(i) => stages[i].1,
             Err(i) => {
-                let stage = fit_prefix(&self.metrics, n);
                 stages.reserve_exact(1);
                 stages.insert(i, (n, stage));
                 stage
@@ -82,16 +94,44 @@ impl CurveEntry {
     }
 }
 
-/// EarlyCurve's fit of the points `(k, metrics[k - 1])`, `k = 1..=n`, and
-/// the stage it extrapolates the end of the curve from (`None` under three
-/// points, where the fit is `None`).
-fn fit_prefix(metrics: &[f64], n: usize) -> Option<StageFit> {
-    let mut curve = EarlyCurve::new(EarlyCurveConfig::default());
-    for (k, &metric) in (1..).zip(&metrics[..n]) {
-        curve.push(k, metric);
+/// Reusable buffers for fitting a curve prefix on a memo miss
+/// ([`TrainingRun::extrapolation_stage`]): the prefix's points and
+/// EarlyCurve's allocation-free fit scratch, so once warm a miss costs one
+/// [`EarlyCurve::fit_into`] and allocates nothing. Keep one per thread of
+/// work (the batched sweep keeps one per cohort's lane buffers).
+#[derive(Debug)]
+pub struct PrefixScratch {
+    prefix: EarlyCurve,
+    fit: FitScratch,
+}
+
+impl Default for PrefixScratch {
+    fn default() -> Self {
+        PrefixScratch::new()
     }
-    let fit = curve.fit()?;
-    Some(*extrapolation_stage(fit.stages(), metrics.len() as u64))
+}
+
+impl PrefixScratch {
+    /// Creates empty buffers.
+    pub fn new() -> Self {
+        PrefixScratch {
+            prefix: EarlyCurve::new(EarlyCurveConfig::default()),
+            fit: FitScratch::new(),
+        }
+    }
+
+    /// EarlyCurve's fit of the points `(k, metrics[k - 1])`, `k = 1..=n`,
+    /// and the stage it extrapolates the end of the curve from (`None`
+    /// under three points, where the fit is `None`).
+    fn fit(&mut self, metrics: &[f64], n: usize) -> Option<StageFit> {
+        self.prefix.reset(EarlyCurveConfig::default());
+        for (k, &metric) in (1..).zip(&metrics[..n]) {
+            self.prefix.push(k, metric);
+        }
+        self.prefix
+            .fit_into(&mut self.fit)
+            .then(|| *extrapolation_stage(self.fit.stages(), metrics.len() as u64))
+    }
 }
 
 /// The shared tier of complete metric curves: a [`Tier`] keyed by
@@ -299,13 +339,14 @@ impl TrainingRun {
     /// `EarlyCurve::fit` of the points `(k, metric_at(k))`, `k = 1..=n`,
     /// selects for any horizon at or past `n` — or `None` under three
     /// points. Memoized per prefix in the run's curve-tier entry, so every
-    /// campaign that reaches `n` shares one fit.
+    /// campaign that reaches `n` shares one fit; a miss fits through
+    /// `scratch`.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds [`TrainingRun::max_steps`].
-    pub fn extrapolation_stage(&self, n: usize) -> Option<StageFit> {
-        self.curve.extrapolation_stage(n)
+    pub fn extrapolation_stage(&self, n: usize, scratch: &mut PrefixScratch) -> Option<StageFit> {
+        self.curve.extrapolation_stage(n, scratch)
     }
 
     /// Ground-truth final metric at `max_trial_steps`.
@@ -490,6 +531,8 @@ mod tests {
     #[test]
     fn memoized_stages_match_fresh_fits_at_every_prefix() {
         let tier = CurveCache::new();
+        // One scratch for every miss, as a cohort's lane buffers keep it.
+        let mut scratch = PrefixScratch::new();
         for algorithm in Algorithm::all() {
             if algorithm == Algorithm::Svm {
                 continue; // 400-step curves: the slowest, and no new code path
@@ -500,7 +543,7 @@ mod tests {
                     let run = TrainingRun::with_cache(&w, hp, seed, &tier);
                     let fresh = fresh_stages(&run);
                     for (n, want) in fresh.into_iter().enumerate() {
-                        let got = run.extrapolation_stage(n);
+                        let got = run.extrapolation_stage(n, &mut scratch);
                         assert_eq!(
                             stage_bits(got),
                             stage_bits(want),
@@ -508,7 +551,8 @@ mod tests {
                             hp.id()
                         );
                         // A second lookup is a hit that returns the same bits.
-                        assert_eq!(stage_bits(run.extrapolation_stage(n)), stage_bits(want));
+                        let hit = run.extrapolation_stage(n, &mut scratch);
+                        assert_eq!(stage_bits(hit), stage_bits(want));
                     }
                 }
             }
@@ -519,14 +563,19 @@ mod tests {
     fn memo_fills_only_the_prefixes_fitted() {
         let w = Workload::benchmark(Algorithm::Gbtr);
         let run = TrainingRun::with_cache(&w, &w.hp_grid()[5], 8, &CurveCache::new());
+        let fresh = fresh_stages(&run);
+        let mut scratch = PrefixScratch::new();
+        // Out of order, so the scratch also refits shorter prefixes.
         for n in [42, 2, 42, 18] {
-            run.extrapolation_stage(n);
+            let got = run.extrapolation_stage(n, &mut scratch);
+            assert_eq!(stage_bits(got), stage_bits(fresh[n]), "prefix {n}");
         }
-        let memo = run.curve.stages.lock().expect("memo");
+        let memo = run.curve.stages.read().expect("memo");
         assert_eq!(memo.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [2, 18, 42]);
         assert!(memo[0].1.is_none(), "two points do not fit");
         assert_eq!(std::mem::size_of_val(&memo[0]), 64, "one slot per fitted prefix");
         assert_eq!(memo.capacity(), 3, "and no spare slots");
+        assert_eq!(std::mem::size_of::<CurveEntry>(), 16 + 40, "metrics, lock and slot vector");
     }
 
     #[test]
@@ -541,14 +590,14 @@ mod tests {
                     s.spawn(|| {
                         let run = TrainingRun::with_cache(&w, hp, 5, &tier);
                         start.wait();
-                        run.extrapolation_stage(70)
+                        run.extrapolation_stage(70, &mut PrefixScratch::new())
                     })
                 })
                 .collect();
             racers.into_iter().map(|r| r.join().expect("racer")).collect()
         });
         let run = TrainingRun::with_cache(&w, hp, 5, &tier);
-        assert_eq!(run.curve.stages.lock().expect("memo").len(), 1, "one fit, one slot");
+        assert_eq!(run.curve.stages.read().expect("memo").len(), 1, "racers keep one slot");
         let want = fresh_stages(&run)[70];
         assert!(want.is_some());
         assert!(stages.iter().all(|&got| stage_bits(got) == stage_bits(want)));
